@@ -214,10 +214,18 @@ pub type HeapKey = (TypeKey, Gen, FieldId);
 /// snapshot shared by every region of a Jacobi round, overlaid by a local
 /// delta map. On the sequential path `base` is `None` and `local` *is*
 /// the heap, reproducing the original single-map behavior bit for bit.
-#[derive(Clone, Debug, Default)]
+///
+/// `journals` is a stack of first-touch journals, one per open
+/// plain-loop iteration. The first write to a `local` entry within a
+/// frame records the entry's previous value (`None` when it was absent),
+/// so the loop can decide whether its iteration changed the heap by
+/// comparing only the cells it touched instead of snapshotting the
+/// whole map.
+#[derive(Debug, Default)]
 struct HeapView {
     base: Option<Arc<BTreeMap<HeapKey, Val>>>,
     local: BTreeMap<HeapKey, Val>,
+    journals: Vec<BTreeMap<HeapKey, Option<Val>>>,
 }
 
 impl HeapView {
@@ -234,23 +242,69 @@ impl HeapView {
     /// Weak update: joins `val` into the cell. Mirrors the sequential
     /// `entry(key).or_default()` discipline exactly — in particular a
     /// previously absent key is materialized even when the joined value
-    /// stays `⊥`, because heap-equality convergence checks distinguish
-    /// absent cells from `⊥` cells and the parallel path must reach
-    /// stability in the same iteration the sequential path does.
+    /// stays `⊥`, because convergence checks distinguish absent cells
+    /// from `⊥` cells and the parallel path must reach stability in the
+    /// same iteration the sequential path does.
     fn store_join(&mut self, key: HeapKey, val: Val, bound: usize) {
         let cur = self.get(&key);
         let new = cur.join(&val, bound);
         let in_base = self.base.as_ref().is_some_and(|b| b.contains_key(&key));
         if self.local.contains_key(&key) || !in_base || new != cur {
-            self.local.insert(key, new);
+            self.set(key, new);
         }
     }
 
-    /// Strong update (flow-back reclassification). Callers only invoke
-    /// this when the value actually changed, so the overlay entry always
-    /// differs from the snapshot underneath it.
+    /// Strong update: flow-back reclassification, and the Jacobi merge
+    /// of region overlays into the main heap. The replaced `local` entry
+    /// goes to the innermost open journal unless this frame already
+    /// wrote the cell.
     fn set(&mut self, key: HeapKey, val: Val) {
-        self.local.insert(key, val);
+        let old = self.local.insert(key, val);
+        if let Some(journal) = self.journals.last_mut() {
+            journal.entry(key).or_insert(old);
+        }
+    }
+
+    /// Replaces the whole `local` map (heap aging), journaling every
+    /// entry whose value differs when a plain-loop frame is open.
+    fn replace_local(&mut self, new: BTreeMap<HeapKey, Val>) {
+        let old = std::mem::replace(&mut self.local, new);
+        if let Some(journal) = self.journals.last_mut() {
+            for (key, val) in &old {
+                if self.local.get(key) != Some(val) {
+                    journal.entry(*key).or_insert_with(|| Some(val.clone()));
+                }
+            }
+            for key in self.local.keys() {
+                if !old.contains_key(key) {
+                    journal.entry(*key).or_insert(None);
+                }
+            }
+        }
+    }
+
+    /// Opens a journal frame for one plain-loop iteration.
+    fn open_frame(&mut self) {
+        self.journals.push(BTreeMap::new());
+    }
+
+    /// Closes the innermost frame. Returns `true` iff some cell touched
+    /// in it now holds a different value than when the frame opened —
+    /// values are compared, not writes counted, so a cell rewritten and
+    /// then joined back to its old value is unchanged. The frame's
+    /// originals are folded into the enclosing frame (first touch wins),
+    /// so an outer loop sees every cell its inner loops changed.
+    fn close_frame(&mut self) -> bool {
+        let journal = self.journals.pop().expect("an open journal frame");
+        let changed = journal
+            .iter()
+            .any(|(key, orig)| self.local.get(key) != orig.as_ref());
+        if let Some(parent) = self.journals.last_mut() {
+            for (key, orig) in journal {
+                parent.entry(key).or_insert(orig);
+            }
+        }
+        changed
     }
 
     /// Every key of `field` in the effective heap, in key order (the
@@ -318,7 +372,7 @@ struct AbstractInterp<'a> {
     region_count: usize,
 }
 
-impl AbstractInterp<'_> {
+impl<'a> AbstractInterp<'a> {
     fn bound(&self) -> usize {
         self.config.type_set_bound
     }
@@ -338,10 +392,8 @@ impl AbstractInterp<'_> {
     }
 
     fn exec_method_body(&mut self, method: MethodId, env: &mut Env) {
-        // Clone the body: the program is immutable, the clone avoids
-        // borrowing `self.program` across the recursive walk.
-        let body = self.program.method(method).body.clone();
-        self.exec_stmts(&body, env);
+        let program: &'a Program = self.program;
+        self.exec_stmts(&program.method(method).body, env);
     }
 
     fn exec_stmts(&mut self, stmts: &[Stmt], env: &mut Env) {
@@ -597,13 +649,10 @@ impl AbstractInterp<'_> {
                 });
             }
         }
-        // Update the abstract heap (weak).
+        // Update the abstract heap (weak; a ⊤ base taints every existing
+        // cell of the field).
         for key in self.keys_for_base(&base_val, field) {
             self.heap_store(key, src_val.clone());
-        }
-        if base_val.is_top() {
-            // Store through ⊤: conservatively taint every existing cell of
-            // this field — handled above via keys_for_base.
         }
     }
 
@@ -689,19 +738,28 @@ impl AbstractInterp<'_> {
     /// loop's aging operator can cycle the same env/heap while the
     /// `inside_loop` flag of freshly recorded effects still changes.
     ///
-    /// Comparing `heap.local` is exact in both contexts: on the
-    /// sequential path it *is* the heap, and inside a region the overlay
-    /// changes iff the effective heap changes (stores only materialize
-    /// overlay entries that differ from the snapshot or update existing
-    /// ones).
+    /// Each iteration runs under its own journal frame, so the heap test
+    /// costs the cells the iteration wrote, not the size of the heap. It
+    /// is exact: the frame compares every journaled cell's value against
+    /// its value when the iteration began, which is equivalent to
+    /// comparing before/after copies of `heap.local`, since a cell the
+    /// iteration never wrote cannot have changed. That holds on the
+    /// sequential path, where `heap.local` *is* the heap, and inside a
+    /// region, where the overlay changes iff the effective heap changes
+    /// (stores only materialize overlay entries that differ from the
+    /// snapshot or update existing ones). Nested loops fold their
+    /// journals into the enclosing iteration's frame, and a designated
+    /// loop run under an open frame journals its aging and its Jacobi
+    /// merges the same way.
     fn exec_plain_loop(&mut self, body: &[Stmt], env: &mut Env) {
         let mut state = env.clone();
         for _ in 0..self.config.max_fixpoint_iters {
-            let heap_before = self.heap.local.clone();
+            self.heap.open_frame();
             let mut iter_env = state.clone();
             self.exec_stmts(body, &mut iter_env);
+            let heap_changed = self.heap.close_frame();
             let joined = join_env(&state, &iter_env, self.bound());
-            if joined == state && self.heap.local == heap_before {
+            if joined == state && !heap_changed {
                 *env = joined;
                 return;
             }
@@ -807,7 +865,7 @@ impl AbstractInterp<'_> {
                 designated,
                 heap: HeapView {
                     base: Some(Arc::clone(snap)),
-                    local: BTreeMap::new(),
+                    ..HeapView::default()
                 },
                 stores: BTreeSet::new(),
                 loads: BTreeSet::new(),
@@ -840,7 +898,7 @@ impl AbstractInterp<'_> {
                 top_escape: sub.top_escape,
             }
         });
-        let mut local =
+        self.heap.local =
             Arc::try_unwrap(snapshot).expect("every region dropped its snapshot handle");
         let bound = self.bound();
         let mut slots: Vec<Option<RegionOutcome>> = Vec::with_capacity(regions.len());
@@ -850,10 +908,11 @@ impl AbstractInterp<'_> {
         }
         let merged = slots.into_iter().map(|s| s.expect("every region ran"));
         for (region, out) in regions.iter().zip(merged) {
-            // Heap delta: plain insert — entries are either for cells no
-            // other region touches, or identical flow-back rewrites.
+            // Heap delta: plain (journaled) insert — entries are either
+            // for cells no other region touches, or identical flow-back
+            // rewrites.
             for (k, v) in out.overlay {
-                local.insert(k, v);
+                self.heap.set(k, v);
             }
             // Environment delta: the partition guarantees each local is
             // written by at most one region (and read by no other), so
@@ -877,7 +936,6 @@ impl AbstractInterp<'_> {
             self.truncated |= out.truncated;
             self.top_escape |= out.top_escape;
         }
-        self.heap.local = local;
     }
 
     /// Ages every heap binding: fresh cells become old cells, and every
@@ -885,7 +943,12 @@ impl AbstractInterp<'_> {
     fn age_heap(&mut self) {
         debug_assert!(self.heap.base.is_none(), "aging runs on the main heap");
         let bound = self.bound();
-        self.heap.local = age_heap_map(std::mem::take(&mut self.heap.local), bound);
+        let old = if self.heap.journals.is_empty() {
+            std::mem::take(&mut self.heap.local)
+        } else {
+            self.heap.local.clone()
+        };
+        self.heap.replace_local(age_heap_map(old, bound));
     }
 
     /// Computes the final report: reachable-occurrence ERA join.
@@ -919,7 +982,7 @@ impl AbstractInterp<'_> {
         // Outside objects are live by assumption; their heap cells are
         // reachable. (The main interpreter's heap never has a snapshot
         // layer by the time the report is computed.)
-        debug_assert!(self.heap.base.is_none());
+        debug_assert!(self.heap.base.is_none() && self.heap.journals.is_empty());
         for ((key, gen, _), _) in self.heap.local.iter() {
             if *gen == Gen::Outside {
                 add(&mut queue, &mut reachable, AbsType::new(*key, Era::Outside));
@@ -938,13 +1001,14 @@ impl AbstractInterp<'_> {
             // Follow heap edges: an object of generation g reaches the
             // cells addressed by that generation.
             let gen = gen_of(era);
-            for ((bkey, bgen, _f), val) in self.heap.local.iter() {
-                if (*bkey, *bgen) == (key, gen) {
-                    let cell_id = (*bkey, *bgen, *_f);
-                    if visited_cells.insert(cell_id) {
-                        for ty in val.types() {
-                            add(&mut queue, &mut reachable, ty);
-                        }
+            let cells = self
+                .heap
+                .local
+                .range((key, gen, FieldId(0))..=(key, gen, FieldId(u32::MAX)));
+            for (&cell_id, val) in cells {
+                if visited_cells.insert(cell_id) {
+                    for ty in val.types() {
+                        add(&mut queue, &mut reachable, ty);
                     }
                 }
             }
@@ -1016,4 +1080,214 @@ pub fn age_heap_map(heap: BTreeMap<HeapKey, Val>, bound: usize) -> BTreeMap<Heap
         *entry = entry.join(&new_val, bound);
     }
     aged
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use leakchecker_callgraph::Algorithm;
+
+    /// A plain loop nested in the designated loop whose iteration loads
+    /// a `⊤̂` cell through a persistent (outside) base — the flow-back
+    /// strong update rewrites it to `f̂` — and then weak-stores the aged
+    /// `x` (`⊤̂`) back, so the cell returns to `f̂ ⊔ ⊤̂ = ⊤̂`. Every
+    /// iteration writes the cell but none changes it: a convergence test
+    /// that counted writes would never stabilize and would truncate. The
+    /// expected summary was recorded from the engine that compared
+    /// whole-heap snapshots.
+    #[test]
+    fn oscillating_cell_converges_by_value() {
+        let unit = leakchecker_frontend::compile(
+            "class Item { }
+             class Holder { Item f; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 Item x = null;
+                 @check while (nondet()) {
+                   while (nondet()) {
+                     Item y = h.f;
+                     h.f = x;
+                   }
+                   x = new Item();
+                 }
+               }
+             }",
+        )
+        .expect("subject compiles");
+        let cg = CallGraph::build(&unit.program, Algorithm::Rta);
+        let holder = AbsType::site(AllocSite(0), Era::Outside);
+        let effect = |era| AbsEffect {
+            value: AbsType::site(AllocSite(1), era),
+            field: FieldId(1),
+            base: EffectBase::Type(holder),
+            inside_loop: true,
+            in_library: false,
+        };
+        for jobs in [1, 2] {
+            let summary = analyze(
+                &unit.program,
+                &cg,
+                unit.checked_loops[0],
+                EffectConfig {
+                    jobs,
+                    ..EffectConfig::default()
+                },
+            );
+            assert!(!summary.truncated, "jobs={jobs}: the plain loop truncated");
+            assert_eq!(summary.rounds, 4, "jobs={jobs}");
+            assert_eq!(
+                summary.eras,
+                HashMap::from([(AllocSite(1), Era::Top)]),
+                "jobs={jobs}"
+            );
+            assert_eq!(summary.stores, BTreeSet::from([effect(Era::Top)]));
+            assert_eq!(summary.loads, BTreeSet::from([effect(Era::Future)]));
+            assert_eq!(summary.inside_sites, BTreeSet::from([AllocSite(1)]));
+            assert!(summary.returned_from_library.is_empty());
+            assert!(summary.started_threads.is_empty());
+        }
+    }
+
+    /// An inner plain loop's write must reach the enclosing plain loop's
+    /// convergence test: the outer loop has to run again so the load at
+    /// its head sees the cell the inner loop filled. If the inner frame's
+    /// journal were dropped instead of folded outward, the outer loop
+    /// would stop after one iteration and miss the load effect.
+    #[test]
+    fn nested_plain_loops_see_inner_writes() {
+        let unit = leakchecker_frontend::compile(
+            "class Item { }
+             class Holder { Item f; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 Item a = new Item();
+                 while (nondet()) {
+                   Item y = h.f;
+                   while (nondet()) {
+                     h.f = a;
+                   }
+                 }
+                 @check while (nondet()) { }
+               }
+             }",
+        )
+        .expect("subject compiles");
+        let cg = CallGraph::build(&unit.program, Algorithm::Rta);
+        let summary = analyze(
+            &unit.program,
+            &cg,
+            unit.checked_loops[0],
+            EffectConfig::default(),
+        );
+        let load = AbsEffect {
+            value: AbsType::site(AllocSite(1), Era::Outside),
+            field: FieldId(1),
+            base: EffectBase::Type(AbsType::site(AllocSite(0), Era::Outside)),
+            inside_loop: false,
+            in_library: false,
+        };
+        assert_eq!(summary.loads, BTreeSet::from([load]));
+        assert!(!summary.truncated);
+    }
+
+    /// Heap aging under an open plain-loop frame must be journaled. In
+    /// the plain loop's second iteration the designated loop ages
+    /// `h.k` from `ĉ` to `⊤̂`, and only then does the store after the
+    /// loop touch the cell, joining it to the value it already holds.
+    /// The plain loop must still see `ĉ → ⊤̂` as a change and run a
+    /// third iteration (one more designated round, 6 in all, as the
+    /// whole-heap comparison did); if aging went unjournaled, the
+    /// store's first touch would record `⊤̂` and the loop would stop
+    /// at 5 rounds. The designated body splits into two regions, so at
+    /// jobs=2 the rounds also merge region overlays under the open frame.
+    #[test]
+    fn aging_under_a_plain_loop_is_journaled() {
+        let unit = leakchecker_frontend::compile(
+            "class Item { }
+             class Tag { }
+             class Holder { Item k; Tag t; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 Item x = null;
+                 while (nondet()) {
+                   @check while (nondet()) {
+                     x = new Item();
+                     h.t = new Tag();
+                   }
+                   h.k = x;
+                 }
+               }
+             }",
+        )
+        .expect("subject compiles");
+        let cg = CallGraph::build(&unit.program, Algorithm::Rta);
+        for jobs in [1, 2] {
+            let summary = analyze(
+                &unit.program,
+                &cg,
+                unit.checked_loops[0],
+                EffectConfig {
+                    jobs,
+                    ..EffectConfig::default()
+                },
+            );
+            assert_eq!(summary.rounds, 6, "jobs={jobs}");
+            assert!(!summary.truncated, "jobs={jobs}");
+            assert_eq!(summary.regions, if jobs == 1 { 0 } else { 2 });
+        }
+    }
+
+    /// A Jacobi round run under an open plain-loop frame must journal
+    /// its overlay merge. Both designated-loop stores write outside
+    /// values into outside cells, which aging leaves alone, so the merge
+    /// is the only write the enclosing plain loop can see. It has to run
+    /// a second iteration for the load at its head to observe `h.k`.
+    #[test]
+    fn jacobi_merge_under_a_plain_loop_is_journaled() {
+        let unit = leakchecker_frontend::compile(
+            "class Item { }
+             class Tag { }
+             class Holder { Item k; Tag t; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 Item a = new Item();
+                 Tag t = new Tag();
+                 while (nondet()) {
+                   Item y = h.k;
+                   @check while (nondet()) {
+                     h.k = a;
+                     h.t = t;
+                   }
+                 }
+               }
+             }",
+        )
+        .expect("subject compiles");
+        let cg = CallGraph::build(&unit.program, Algorithm::Rta);
+        let head_load = AbsEffect {
+            value: AbsType::site(AllocSite(1), Era::Outside),
+            field: FieldId(1),
+            base: EffectBase::Type(AbsType::site(AllocSite(0), Era::Outside)),
+            inside_loop: false,
+            in_library: false,
+        };
+        for jobs in [1, 2] {
+            let summary = analyze(
+                &unit.program,
+                &cg,
+                unit.checked_loops[0],
+                EffectConfig {
+                    jobs,
+                    ..EffectConfig::default()
+                },
+            );
+            assert!(summary.loads.contains(&head_load), "jobs={jobs}");
+            assert_eq!(summary.rounds, 4, "jobs={jobs}");
+            assert_eq!(summary.regions, if jobs == 1 { 0 } else { 2 });
+        }
+    }
 }

@@ -88,18 +88,21 @@ fn assert_equivalent(label: &str, source: &str) -> EffectSummary {
     widest
 }
 
-fn corpus_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
-}
-
-#[test]
-fn corpus_exemplars_are_width_independent() {
-    let mut paths: Vec<_> = std::fs::read_dir(corpus_dir())
+/// The corpus exemplar files, sorted.
+fn corpus_paths() -> Vec<std::path::PathBuf> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
         .expect("tests/corpus must exist")
         .map(|e| e.expect("readable dir entry").path())
         .filter(|p| p.extension().is_some_and(|ext| ext == "jml"))
         .collect();
     paths.sort();
+    paths
+}
+
+#[test]
+fn corpus_exemplars_are_width_independent() {
+    let paths = corpus_paths();
     assert!(!paths.is_empty(), "tests/corpus holds no .jml entries");
     for path in paths {
         let text = std::fs::read_to_string(&path).expect("corpus entry reads");
@@ -219,4 +222,83 @@ fn witnesses_and_faults_pin_the_sequential_fallback() {
         render_all(&plain.program, &plain.reports)
     );
     assert_eq!(seq_plain.stats.effects_rounds, plain.stats.effects_rounds);
+}
+
+/// The golden oracle: one line per input — label, `rounds`,
+/// `truncated` and a 64-bit FNV-1a hash of the full [`fingerprint`] —
+/// recorded from the sequential engine before the journaled
+/// plain-loop convergence replaced whole-heap snapshots. Any engine
+/// change that alters a summary anywhere in the sweep shows up as a
+/// line diff here, at every width.
+const GOLDEN: &str = include_str!("golden/effects_fingerprints.txt");
+
+/// The oracle's inputs: every corpus exemplar, three large subjects
+/// (one at the ~30k-statement size the cold-check benchmark uses) and
+/// 500 fuzz-grammar programs.
+fn golden_inputs() -> Vec<(String, String)> {
+    let mut inputs = Vec::new();
+    for path in corpus_paths() {
+        let text = std::fs::read_to_string(&path).expect("corpus entry reads");
+        let entry = parse_entry(&text).expect("corpus entry parses");
+        let name = path
+            .file_name()
+            .expect("entry has a name")
+            .to_string_lossy();
+        inputs.push((format!("corpus/{name}"), entry.source));
+    }
+    for (seed, stmts) in [(0x1A26E, 9_000), (0xB0B0, 9_000), (0x5EED5, 30_000)] {
+        let generated = generate_large(LargeConfig {
+            target_statements: stmts,
+            seed,
+            ..LargeConfig::default()
+        });
+        inputs.push((format!("large/{seed:#x}/{stmts}"), generated.source));
+    }
+    for seed in 0..500u64 {
+        inputs.push((format!("fuzz/{seed}"), generate_fuzz(seed).source));
+    }
+    inputs
+}
+
+fn golden_line(label: &str, summary: &EffectSummary) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in fingerprint(summary).bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!(
+        "{label} rounds={} truncated={} fnv={hash:016x}",
+        summary.rounds, summary.truncated
+    )
+}
+
+#[test]
+fn summaries_match_the_golden_oracle() {
+    let expected: Vec<&str> = GOLDEN.lines().collect();
+    let inputs = golden_inputs();
+    assert_eq!(
+        expected.len(),
+        inputs.len(),
+        "golden file and input sweep disagree on size"
+    );
+    for ((label, source), want) in inputs.iter().zip(expected) {
+        for jobs in [1, 2] {
+            let got = golden_line(label, &analyze_at(source, jobs));
+            assert_eq!(
+                want, got,
+                "{label}: jobs={jobs} diverged from the golden oracle"
+            );
+        }
+    }
+}
+
+/// Prints the oracle in the golden file's format. Regenerate only from
+/// an engine whose summaries are known good:
+/// `cargo test --release --test effects_parallel -- --ignored --nocapture print_golden_oracle`
+#[test]
+#[ignore = "prints the golden oracle for regeneration"]
+fn print_golden_oracle() {
+    for (label, source) in golden_inputs() {
+        println!("{}", golden_line(&label, &analyze_at(&source, 1)));
+    }
 }
