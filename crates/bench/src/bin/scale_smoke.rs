@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! cargo run -p leakchecker-bench --release --bin scale_smoke -- \
-//!   --stmts 100000 --ceiling 7 --min-speedup 2.0 --min-effects-speedup 2.0
+//!   --stmts 100000 --ceiling 1 --min-speedup 2.0 --min-effects-speedup 2.0
 //! ```
 
 use leakchecker_bench::{render_scaling, scaling_sweep};

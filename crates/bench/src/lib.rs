@@ -10,8 +10,8 @@
 
 use leakchecker::parallel::{effective_jobs, parallel_map};
 use leakchecker::{
-    check, compute_keys, render_all, AnalysisResult, CacheStats, CheckTarget, DetectorConfig,
-    SummaryCache,
+    check, compute_keys, render_all, target_key, AnalysisResult, CacheStats, CheckTarget,
+    DetectorConfig, SummaryCache,
 };
 use leakchecker_benchsuite::{
     all_subjects, by_name, evaluate, generate, generate_large, GenConfig, LargeConfig, Subject,
@@ -527,11 +527,12 @@ pub fn warm_cold_sweep(
             let cold_secs = start.elapsed().as_secs_f64();
             let cold_report = render_all(&cold.program, &cold.reports);
 
+            // The warm path of `leakc check --cache`: resolve, key, look up.
             let start = Instant::now();
             let resolved =
                 leakchecker::target::resolve(&edited.program, target).expect("target resolves");
-            let keys = compute_keys(&resolved.program, resolved.root, config.callgraph);
-            let hit = store.lookup(keys.result_key(target, &config));
+            let key = target_key(&resolved.program, resolved.root, target, &config);
+            let hit = store.lookup(key);
             let warm_secs = start.elapsed().as_secs_f64();
 
             let (warm_hit, byte_identical) = match &hit {

@@ -12,8 +12,8 @@ pub use serve::{install_signal_handlers, run_serve, ServeOptions, Server};
 
 use leakchecker::governor::{parse_fault_plan, FaultPlan, GovernorConfig};
 use leakchecker::{
-    cacheable_config, check, compute_keys, render_all, write_atomic, CachedTarget, CheckTarget,
-    DetectorConfig, SummaryCache,
+    cacheable_config, check, compute_keys, render_all, target_key, write_atomic, CachedTarget,
+    CheckTarget, DetectorConfig, SummaryCache,
 };
 use leakchecker_callgraph::Algorithm;
 use leakchecker_dynbaseline::{detect as dyn_detect, heap_growth_curve, DynConfig};
@@ -1139,11 +1139,13 @@ pub fn execute(command: Command) -> Result<CliOutput, LeakcError> {
             let mut json_targets: Vec<String> = Vec::new();
             let mut trace_lines: Vec<String> = Vec::new();
             for target in targets {
+                // A hit costs only the key; the per-method keys (and
+                // their call graph) are computed when a miss records.
                 let keyed = store.as_ref().map(|_| {
                     let resolved = leakchecker::target::resolve(&unit.program, target)
                         .map_err(|e| LeakcError::Input(e.to_string()))?;
-                    let keys = compute_keys(&resolved.program, resolved.root, config.callgraph);
-                    Ok::<_, LeakcError>((keys.result_key(target, &config), keys))
+                    let key = target_key(&resolved.program, resolved.root, target, &config);
+                    Ok::<_, LeakcError>((key, resolved))
                 });
                 let keyed = match keyed {
                     Some(r) => Some(r?),
@@ -1165,14 +1167,15 @@ pub fn execute(command: Command) -> Result<CliOutput, LeakcError> {
                 }
                 let fragment = json_fragment_of(target, &result);
                 json_targets.push(fragment.clone());
-                if let (Some(store), Some((key, keys))) = (store.as_mut(), keyed.as_ref()) {
+                if let (Some(store), Some((key, resolved))) = (store.as_mut(), keyed.as_ref()) {
                     // Degraded results depend on budget luck, not
                     // content — never persist them.
                     if !result.stats.is_degraded() {
                         let entry = cached_target_of(&result, fragment);
+                        let keys = compute_keys(&resolved.program, resolved.root, config.callgraph);
                         store
                             .record(*key, &entry)
-                            .and_then(|()| store.sync_methods(keys))
+                            .and_then(|()| store.sync_methods(&keys))
                             .map_err(|e| {
                                 LeakcError::Input(format!("cannot write cache record: {e}"))
                             })?;

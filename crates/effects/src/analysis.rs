@@ -23,10 +23,13 @@
 //! With [`EffectConfig::jobs`] ≠ 1 the designated-loop fixpoint runs each
 //! abstract iteration as a *round* of independent regions: the loop body
 //! is partitioned (see `partition.rs`) so that no abstract fact can flow
-//! between two regions within one iteration, every region executes
-//! against an immutable snapshot of the post-aging heap, and the
-//! per-region deltas (heap overlay, written locals, effect sets) are
-//! merged back in a fixed region order. Because the regions are truly
+//! between two regions within one iteration. The regions are packed into
+//! a few batches per worker, largest first onto the lightest batch
+//! (`pack_batches`). Each batch runs its regions in canonical order in
+//! one sub-interpreter, with one copy of the frame and one heap overlay
+//! over an immutable snapshot of the post-aging heap. The per-batch
+//! deltas (heap overlay, each region's written locals, effect sets) are
+//! merged back in a fixed batch order. Because the regions are truly
 //! independent, each round reproduces the sequential iteration's
 //! post-state *exactly* — same environments, heap, effect sets, iteration
 //! count, and truncation flag — not merely the same fixpoint, which is
@@ -38,6 +41,7 @@ use crate::partition::{partition, Region};
 use leakchecker_callgraph::CallGraph;
 use leakchecker_ir::ids::{AllocSite, FieldId, LocalId, LoopId, MethodId};
 use leakchecker_ir::stmt::Stmt;
+use leakchecker_ir::visit::walk_stmts;
 use leakchecker_ir::Program;
 use leakchecker_parallel::{effective_jobs, parallel_map};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -152,7 +156,7 @@ pub fn analyze_from(
         returned_from_library: BTreeSet::new(),
         started_threads: BTreeSet::new(),
         truncated: false,
-        final_roots: Vec::new(),
+        final_roots: BTreeSet::new(),
         top_escape: false,
         in_region: false,
         rounds: 0,
@@ -162,7 +166,7 @@ pub fn analyze_from(
     let nlocals = program.method(root).locals.len();
     env.locals = vec![Val::Bottom; nlocals];
     interp.exec_method_body(root, &mut env);
-    interp.final_roots.push(env);
+    interp.add_roots(&env);
     interp.finish()
 }
 
@@ -211,7 +215,7 @@ pub fn gen_of(era: Era) -> Gen {
 pub type HeapKey = (TypeKey, Gen, FieldId);
 
 /// The abstract heap as a (possibly layered) view: an optional immutable
-/// snapshot shared by every region of a Jacobi round, overlaid by a local
+/// snapshot shared by every batch of a Jacobi round, overlaid by a local
 /// delta map. On the sequential path `base` is `None` and `local` *is*
 /// the heap, reproducing the original single-map behavior bit for bit.
 ///
@@ -323,9 +327,11 @@ impl HeapView {
     }
 }
 
-/// Everything one region of a Jacobi round produces, merged back into
-/// the main interpreter in fixed region order.
-struct RegionOutcome {
+/// Everything one batch of a Jacobi round produces (see
+/// [`pack_batches`]), merged back into the main interpreter in fixed
+/// batch order. `env` is the batch's frame after all of its regions
+/// ran; the merge takes each region's written locals from it.
+struct BatchOutcome {
     overlay: BTreeMap<HeapKey, Val>,
     env: Env,
     stores: BTreeSet<AbsEffect>,
@@ -333,7 +339,7 @@ struct RegionOutcome {
     inside_sites: BTreeSet<AllocSite>,
     returned_from_library: BTreeSet<TypeKey>,
     started_threads: BTreeSet<TypeKey>,
-    final_roots: Vec<Env>,
+    final_roots: BTreeSet<AbsType>,
     truncated: bool,
     top_escape: bool,
 }
@@ -355,14 +361,17 @@ struct AbstractInterp<'a> {
     returned_from_library: BTreeSet<TypeKey>,
     started_threads: BTreeSet<TypeKey>,
     truncated: bool,
-    /// Environments captured for the final reachability report.
-    final_roots: Vec<Env>,
+    /// Reachability roots for the final report: every type held by a
+    /// frame when it returned (each inlined callee and the root frame),
+    /// folded into one set as the frames return, so the report costs
+    /// the distinct types rather than the frames ever executed.
+    final_roots: BTreeSet<AbsType>,
     /// Set when a `⊤` value was stored through a persistent base inside
     /// the loop: any inside object may have escaped, so every inside site
     /// is conservatively reported `⊤̂` (only reachable when the value
     /// domain collapses, e.g. under the formal bound-1 configuration).
     top_escape: bool,
-    /// `true` while executing one region of a Jacobi round: forces any
+    /// `true` while executing one batch of a Jacobi round: forces any
     /// (structurally impossible) nested designated-loop fixpoint onto
     /// the sequential path.
     in_region: bool,
@@ -394,6 +403,13 @@ impl<'a> AbstractInterp<'a> {
     fn exec_method_body(&mut self, method: MethodId, env: &mut Env) {
         let program: &'a Program = self.program;
         self.exec_stmts(&program.method(method).body, env);
+    }
+
+    /// Folds a returned frame's values into the reachability roots.
+    fn add_roots(&mut self, env: &Env) {
+        for val in env.locals.iter().chain(std::iter::once(&env.ret)) {
+            self.final_roots.extend(val.types());
+        }
     }
 
     fn exec_stmts(&mut self, stmts: &[Stmt], env: &mut Env) {
@@ -558,9 +574,9 @@ impl<'a> AbstractInterp<'a> {
                         }
                     }
                     ret = ret.join(&callee_env.ret, self.bound());
-                    // Keep the callee frame as a reachability root: values
-                    // it held may pin heap cells observed by the report.
-                    self.final_roots.push(callee_env);
+                    // The callee frame's values are reachability roots:
+                    // they may pin heap cells observed by the report.
+                    self.add_roots(&callee_env);
                 }
                 if let Some(d) = dst {
                     if self.program.method(*method).ret_ty.is_reference() || ret.is_top() {
@@ -583,13 +599,7 @@ impl<'a> AbstractInterp<'a> {
                 then_branch,
                 else_branch,
                 ..
-            } => {
-                let mut then_env = env.clone();
-                let mut else_env = env.clone();
-                self.exec_stmts(then_branch, &mut then_env);
-                self.exec_stmts(else_branch, &mut else_env);
-                *env = join_env(&then_env, &else_env, self.bound());
-            }
+            } => self.exec_if(then_branch, else_branch, env),
             Stmt::While { id, body, .. } => {
                 if *id == self.designated {
                     self.exec_designated_loop(body, env);
@@ -598,6 +608,59 @@ impl<'a> AbstractInterp<'a> {
                 }
             }
         }
+    }
+
+    /// Both branches run against the entry state and their frames are
+    /// joined. Only the locals a branch can write differ from the entry
+    /// state, so only those are saved and joined: `then` runs in place,
+    /// its values are swapped out for the saved entry values, `else`
+    /// runs in place, and the two sets are joined (`x ⊔ x = x` for every
+    /// other local). `ret` needs no save: it only accumulates, and the
+    /// join is idempotent. Calls need no special case, because callees
+    /// run in frames of their own.
+    fn exec_if(&mut self, then_branch: &[Stmt], else_branch: &[Stmt], env: &mut Env) {
+        let writes = self.branch_writes(then_branch, else_branch, env.locals.len());
+        let mut saved: Vec<Val> = writes
+            .iter()
+            .map(|l| env.locals[l.index()].clone())
+            .collect();
+        self.exec_stmts(then_branch, env);
+        // `saved` now takes the `then` values; the frame gets the entry
+        // values back.
+        for (l, v) in writes.iter().zip(&mut saved) {
+            std::mem::swap(&mut env.locals[l.index()], v);
+        }
+        self.exec_stmts(else_branch, env);
+        let bound = self.bound();
+        for (l, then_val) in writes.iter().zip(saved) {
+            let slot = &mut env.locals[l.index()];
+            *slot = then_val.join(slot, bound);
+        }
+    }
+
+    /// The locals either branch may write, sorted and deduplicated. A
+    /// branch that contains the designated loop writes every one of the
+    /// frame's `nlocals` locals, because its aging rewrites them all.
+    fn branch_writes(
+        &self,
+        then_branch: &[Stmt],
+        else_branch: &[Stmt],
+        nlocals: usize,
+    ) -> Vec<LocalId> {
+        let mut writes = Vec::new();
+        let mut designated = false;
+        let mut visit = |stmt: &Stmt| match stmt {
+            Stmt::While { id, .. } if *id == self.designated => designated = true,
+            _ => writes.extend(stmt.def()),
+        };
+        walk_stmts(then_branch, &mut visit);
+        walk_stmts(else_branch, &mut visit);
+        if designated {
+            return (0..nlocals).map(LocalId::from_index).collect();
+        }
+        writes.sort_unstable();
+        writes.dedup();
+        writes
     }
 
     /// Does the receiver's declared class descend from a class named
@@ -791,9 +854,12 @@ impl<'a> AbstractInterp<'a> {
         // A single region would serialize through parallel_map for
         // nothing; the sequential walk is the same computation.
         let parallel = regions.len() >= 2;
-        if parallel {
+        let batches = if parallel {
             self.region_count = self.region_count.max(regions.len());
-        }
+            pack_batches(&regions, workers)
+        } else {
+            Vec::new()
+        };
         let mut state = env.clone();
         let mut stable = false;
         for _ in 0..self.config.max_fixpoint_iters {
@@ -805,7 +871,7 @@ impl<'a> AbstractInterp<'a> {
             self.age_heap();
             self.rounds += 1;
             if parallel {
-                self.exec_round_parallel(&regions, body, &mut iter_env, workers);
+                self.exec_round_parallel(&regions, &batches, body, &mut iter_env, workers);
             } else {
                 self.exec_stmts(body, &mut iter_env);
             }
@@ -828,16 +894,18 @@ impl<'a> AbstractInterp<'a> {
         *env = state;
     }
 
-    /// One Jacobi round: every region executes against an immutable
-    /// snapshot of the post-aging heap, then the deltas are merged in
-    /// region order. The partition guarantees the regions are
-    /// independent, so the merge order only matters for determinism, not
-    /// for the result: overlapping overlay entries can only come from
+    /// One Jacobi round: the regions are packed into batches, every
+    /// batch executes against an immutable snapshot of the post-aging
+    /// heap, then the deltas are merged in batch order. The partition
+    /// guarantees the regions are independent, so neither the packing
+    /// nor the merge order matters for the result, only for
+    /// determinism: overlapping overlay entries can only come from
     /// concurrent loads of the same untouched cell, whose idempotent
     /// flow-back adjustments write identical values.
     fn exec_round_parallel(
         &mut self,
         regions: &[Region],
+        batches: &[Vec<usize>],
         body: &[Stmt],
         iter_env: &mut Env,
         workers: usize,
@@ -852,12 +920,7 @@ impl<'a> AbstractInterp<'a> {
         let call_stack = &self.call_stack;
         let base_env = &*iter_env;
         let snap = &snapshot;
-        // Schedule big regions first (work-stealing drains the singleton
-        // tail); results are re-indexed so the merge below still runs in
-        // canonical region order.
-        let mut order: Vec<usize> = (0..regions.len()).collect();
-        order.sort_by_key(|&r| (usize::MAX - regions[r].stmts.len(), r));
-        let outcomes = parallel_map(workers, order.clone(), |r: usize| {
+        let outcomes = parallel_map(workers, batches.iter().collect(), |batch: &Vec<usize>| {
             let mut sub = AbstractInterp {
                 program,
                 callgraph,
@@ -875,17 +938,19 @@ impl<'a> AbstractInterp<'a> {
                 returned_from_library: BTreeSet::new(),
                 started_threads: BTreeSet::new(),
                 truncated: false,
-                final_roots: Vec::new(),
+                final_roots: BTreeSet::new(),
                 top_escape: false,
                 in_region: true,
                 rounds: 0,
                 region_count: 0,
             };
             let mut env = base_env.clone();
-            for &i in &regions[r].stmts {
-                sub.exec_stmt(&body[i], &mut env);
+            for &r in batch {
+                for &i in &regions[r].stmts {
+                    sub.exec_stmt(&body[i], &mut env);
+                }
             }
-            RegionOutcome {
+            BatchOutcome {
                 overlay: sub.heap.local,
                 env,
                 stores: sub.stores,
@@ -899,15 +964,9 @@ impl<'a> AbstractInterp<'a> {
             }
         });
         self.heap.local =
-            Arc::try_unwrap(snapshot).expect("every region dropped its snapshot handle");
+            Arc::try_unwrap(snapshot).expect("every batch dropped its snapshot handle");
         let bound = self.bound();
-        let mut slots: Vec<Option<RegionOutcome>> = Vec::with_capacity(regions.len());
-        slots.resize_with(regions.len(), || None);
-        for (r, out) in order.into_iter().zip(outcomes) {
-            slots[r] = Some(out);
-        }
-        let merged = slots.into_iter().map(|s| s.expect("every region ran"));
-        for (region, out) in regions.iter().zip(merged) {
+        for (batch, mut out) in batches.iter().zip(outcomes) {
             // Heap delta: plain (journaled) insert — entries are either
             // for cells no other region touches, or identical flow-back
             // rewrites.
@@ -917,11 +976,13 @@ impl<'a> AbstractInterp<'a> {
             // Environment delta: the partition guarantees each local is
             // written by at most one region (and read by no other), so
             // taking the writer's final value is exact, not a join.
-            for &l in &region.writes {
-                iter_env.locals[l.index()] = out.env.locals[l.index()].clone();
+            for &r in batch {
+                for &l in &regions[r].writes {
+                    iter_env.locals[l.index()] = std::mem::take(&mut out.env.locals[l.index()]);
+                }
             }
             // `ret` is accumulate-only (never read during execution), so
-            // folding the per-region joins reproduces the sequential
+            // folding the per-batch joins reproduces the sequential
             // value by idempotence.
             iter_env.ret = iter_env.ret.join(&out.env.ret, bound);
             self.stores.extend(out.stores);
@@ -929,9 +990,6 @@ impl<'a> AbstractInterp<'a> {
             self.inside_sites.extend(out.inside_sites);
             self.returned_from_library.extend(out.returned_from_library);
             self.started_threads.extend(out.started_threads);
-            // finish()'s reachability join is order-independent, so the
-            // region-order concatenation is equivalent to the sequential
-            // interleaving.
             self.final_roots.extend(out.final_roots);
             self.truncated |= out.truncated;
             self.top_escape |= out.top_escape;
@@ -953,7 +1011,7 @@ impl<'a> AbstractInterp<'a> {
 
     /// Computes the final report: reachable-occurrence ERA join.
     fn finish(self) -> EffectSummary {
-        // Roots: every captured environment binding, every outside-typed
+        // Roots: every type a returned frame held, every outside-typed
         // object (referenced from outside the loop by assumption), and the
         // globals pseudo-object.
         let mut reachable: BTreeSet<(TypeKey, Era)> = BTreeSet::new();
@@ -967,12 +1025,8 @@ impl<'a> AbstractInterp<'a> {
                 }
             };
 
-        for env in &self.final_roots {
-            for val in env.locals.iter().chain(std::iter::once(&env.ret)) {
-                for ty in val.types() {
-                    add(&mut queue, &mut reachable, ty);
-                }
-            }
+        for &ty in &self.final_roots {
+            add(&mut queue, &mut reachable, ty);
         }
         add(
             &mut queue,
@@ -1036,6 +1090,39 @@ impl<'a> AbstractInterp<'a> {
             regions: self.region_count,
         }
     }
+}
+
+/// Batches per worker in a Jacobi round. On 2 cores, 1, 2 and 4 batches
+/// per worker time alike at 30k statements and 4 is slightly ahead at
+/// 100k, while one batch per region is 2–5× slower (DESIGN §13). Several
+/// batches rather than one keep the pool busy: `parallel_map` runs its
+/// first item inline as a probe before it spawns the pool.
+const BATCHES_PER_WORKER: usize = 4;
+
+/// Packs a round's regions into at most [`BATCHES_PER_WORKER`] batches
+/// per worker, largest region (by statement count) first onto the
+/// lightest batch. Each batch lists its regions in canonical order and
+/// runs them in one sub-interpreter, so a round pays one frame copy and
+/// one heap overlay per batch rather than per region. That is exact
+/// because the partition already guarantees the regions are
+/// independent.
+fn pack_batches(regions: &[Region], workers: usize) -> Vec<Vec<usize>> {
+    let count = regions.len().min(BATCHES_PER_WORKER * workers);
+    let mut order: Vec<usize> = (0..regions.len()).collect();
+    order.sort_by_key(|&r| (std::cmp::Reverse(regions[r].stmts.len()), r));
+    let mut batches = vec![Vec::new(); count];
+    let mut weights = vec![0usize; count];
+    for r in order {
+        let lightest = (0..count)
+            .min_by_key(|&b| weights[b])
+            .expect("a partition has at least one region");
+        weights[lightest] += regions[r].stmts.len();
+        batches[lightest].push(r);
+    }
+    for batch in &mut batches {
+        batch.sort_unstable();
+    }
+    batches
 }
 
 /// Pointwise join of two frames. Public (hidden) for the lattice-law
@@ -1289,5 +1376,168 @@ mod tests {
             assert_eq!(summary.rounds, 4, "jobs={jobs}");
             assert_eq!(summary.regions, if jobs == 1 { 0 } else { 2 });
         }
+    }
+
+    /// Analyzes `source` at jobs 1 and 2 and hands each summary to
+    /// `check` with its width.
+    fn at_jobs_1_and_2(source: &str, check: impl Fn(usize, EffectSummary)) {
+        let unit = leakchecker_frontend::compile(source).expect("subject compiles");
+        let cg = CallGraph::build(&unit.program, Algorithm::Rta);
+        for jobs in [1, 2] {
+            let config = EffectConfig {
+                jobs,
+                ..EffectConfig::default()
+            };
+            check(
+                jobs,
+                analyze(&unit.program, &cg, unit.checked_loops[0], config),
+            );
+        }
+    }
+
+    /// A store of `value` into field `field` of the outside holder
+    /// allocated at site 0.
+    fn holder_store(value: AbsType, field: u32, inside_loop: bool) -> AbsEffect {
+        AbsEffect {
+            value,
+            field: FieldId(field),
+            base: EffectBase::Type(AbsType::site(AllocSite(0), Era::Outside)),
+            inside_loop,
+            in_library: false,
+        }
+    }
+
+    /// An `if` whose `then` assigns a reference local and whose `else`
+    /// leaves it alone: after the join `x` holds old ⊔ new, so the store
+    /// records both the outside item and the fresh one. The second pair
+    /// of statements is an independent region, so jobs=2 runs a batched
+    /// round. Expected summary recorded from the engine that joined
+    /// whole-frame copies.
+    #[test]
+    fn if_join_keeps_the_untouched_branch_value() {
+        let source = "class Item { }
+             class Tag { }
+             class Holder { Item f; Tag t; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 Item x = new Item();
+                 @check while (nondet()) {
+                   if (nondet()) { x = new Item(); }
+                   h.f = x;
+                   Tag t = new Tag();
+                   h.t = t;
+                 }
+               }
+             }";
+        at_jobs_1_and_2(source, |jobs, summary| {
+            let stores = BTreeSet::from([
+                holder_store(AbsType::site(AllocSite(1), Era::Outside), 1, true),
+                holder_store(AbsType::site(AllocSite(2), Era::Current), 1, true),
+                holder_store(AbsType::site(AllocSite(2), Era::Top), 1, true),
+                holder_store(AbsType::site(AllocSite(3), Era::Current), 2, true),
+            ]);
+            assert_eq!(summary.stores, stores, "jobs={jobs}");
+            assert_eq!(
+                summary.eras,
+                HashMap::from([(AllocSite(2), Era::Top), (AllocSite(3), Era::Top)]),
+                "jobs={jobs}"
+            );
+            assert!(summary.loads.is_empty(), "jobs={jobs}");
+            assert_eq!(summary.rounds, 3, "jobs={jobs}");
+            assert!(!summary.truncated, "jobs={jobs}");
+            assert_eq!(summary.regions, if jobs == 1 { 0 } else { 2 });
+        });
+    }
+
+    /// `return` in both branches of a callee's `if`: the caller sees the
+    /// joined return value, so the store after the call records both
+    /// arguments. Expected summary recorded from the engine that joined
+    /// whole-frame copies.
+    #[test]
+    fn if_join_keeps_both_branch_returns() {
+        let source = "class Item { }
+             class Tag { }
+             class Holder { Item f; Tag t; }
+             class Maker {
+               Item pick(Item a, Item b) {
+                 if (nondet()) { return a; } else { return b; }
+               }
+             }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 Maker m = new Maker();
+                 Item a = new Item();
+                 @check while (nondet()) {
+                   Item b = new Item();
+                   Item r = m.pick(a, b);
+                   h.f = r;
+                   Tag t = new Tag();
+                   h.t = t;
+                 }
+               }
+             }";
+        at_jobs_1_and_2(source, |jobs, summary| {
+            let stores = BTreeSet::from([
+                holder_store(AbsType::site(AllocSite(2), Era::Outside), 1, true),
+                holder_store(AbsType::site(AllocSite(3), Era::Current), 1, true),
+                holder_store(AbsType::site(AllocSite(4), Era::Current), 2, true),
+            ]);
+            assert_eq!(summary.stores, stores, "jobs={jobs}");
+            assert_eq!(
+                summary.eras,
+                HashMap::from([(AllocSite(3), Era::Top), (AllocSite(4), Era::Top)]),
+                "jobs={jobs}"
+            );
+            assert!(summary.loads.is_empty(), "jobs={jobs}");
+            assert_eq!(summary.rounds, 3, "jobs={jobs}");
+            assert!(!summary.truncated, "jobs={jobs}");
+            assert_eq!(summary.regions, if jobs == 1 { 0 } else { 2 });
+        });
+    }
+
+    /// An `if` that contains the designated loop saves and joins every
+    /// local of the frame. In the plain loop's second iteration `z`
+    /// holds the inside item at `ĉ`; the designated loop in `then` ages
+    /// every local of the frame, `z` included, though `z` is not
+    /// written there. The `else` branch must still see the entry value
+    /// `ĉ`, not the aged `⊤̂`. Expected summary recorded from the engine
+    /// that joined whole-frame copies.
+    #[test]
+    fn if_around_the_designated_loop_joins_every_local() {
+        let source = "class Item { }
+             class Holder { Item f; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 Item y = null;
+                 Item z = null;
+                 while (nondet()) {
+                   if (nondet()) {
+                     @check while (nondet()) { y = new Item(); }
+                   } else {
+                     h.f = z;
+                   }
+                   z = y;
+                 }
+               }
+             }";
+        at_jobs_1_and_2(source, |jobs, summary| {
+            let stores = BTreeSet::from([holder_store(
+                AbsType::site(AllocSite(1), Era::Current),
+                1,
+                false,
+            )]);
+            assert_eq!(summary.stores, stores, "jobs={jobs}");
+            assert_eq!(
+                summary.eras,
+                HashMap::from([(AllocSite(1), Era::Top)]),
+                "jobs={jobs}"
+            );
+            assert!(summary.loads.is_empty(), "jobs={jobs}");
+            assert_eq!(summary.rounds, 8, "jobs={jobs}");
+            assert!(!summary.truncated, "jobs={jobs}");
+        });
     }
 }

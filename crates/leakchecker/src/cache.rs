@@ -26,13 +26,18 @@
 //! condensation: a method's **composed key** folds its own semantic
 //! hash with its SCC's signature and the composed keys of callee SCCs,
 //! so an edit invalidates exactly the methods that can reach it —
-//! transitive invalidation falls out of the hash chaining. The result
-//! record of a target is keyed by the entry point's composed key, a
-//! **shape fingerprint** (class/field/method tables, allocation-site
-//! and loop numbering, `@leak`/`@fp` labels, the entry point — the id
-//! spaces every analysis and report renderer indexes into), the target,
-//! and a fingerprint of the detector configuration (with worker counts
-//! normalized out: reports are jobs-invariant by construction).
+//! transitive invalidation falls out of the hash chaining, and the
+//! invalidation telemetry counts it. The result record of a target is
+//! keyed by the semantic hash of *every* method, a **shape
+//! fingerprint** (class/field/method tables, allocation-site and loop
+//! numbering, `@leak`/`@fp` labels, the entry point — the id spaces
+//! every analysis and report renderer indexes into), the target, and a
+//! fingerprint of the detector configuration (with worker counts
+//! normalized out: reports are jobs-invariant by construction). Keying
+//! on every method rather than on the entry's composed key costs a
+//! miss when an edit touches only methods the check never reaches, and
+//! in exchange a warm lookup ([`target_key`]) is one hashing pass with
+//! no call graph.
 //!
 //! Equal keys therefore imply that a cold run would traverse the same
 //! call graph over bodies that differ only in analysis-invisible
@@ -79,7 +84,7 @@ use leakchecker_ir::{Cond, MethodId, Operand, Program, SiteLabel, Stmt, Type};
 pub const CACHE_MAGIC: &str = "LKCACHE";
 /// Format epoch: bump on any incompatible change to the record format
 /// *or* the keying scheme — stale files then load as all-miss.
-pub const CACHE_EPOCH: u32 = 1;
+pub const CACHE_EPOCH: u32 = 2;
 /// Store file name inside the cache directory.
 pub const CACHE_FILE: &str = "summaries.lkc";
 
@@ -176,27 +181,58 @@ pub struct ProgramKeys {
     pub shape: u64,
     /// Per-method keys, by qualified name, for every method.
     pub methods: BTreeMap<String, MethodKey>,
-    /// The entry point's composed key folded with the shape fingerprint
-    /// and format epoch.
+    /// The format epoch, shape fingerprint, entry point and every
+    /// method's semantic hash, folded into one key.
     pub root_key: u64,
 }
 
 impl ProgramKeys {
     /// The result-record key for a target under a configuration.
     pub fn result_key(&self, target: CheckTarget, config: &DetectorConfig) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.root_key);
-        match target {
-            CheckTarget::Loop(l) => {
-                h.tag(1).u32(l.0);
-            }
-            CheckTarget::Region(m) => {
-                h.tag(2).u32(m.0);
-            }
-        }
-        h.u64(config_fingerprint(config));
-        h.finish()
+        fold_result_key(self.root_key, target, config)
     }
+}
+
+/// The result-record key of `target` over `program` (rooted at `root`)
+/// under `config` — equal to [`ProgramKeys::result_key`] of
+/// [`compute_keys`], but computed without a call graph or the
+/// per-method table, so a warm hit pays one hashing pass.
+pub fn target_key(
+    program: &Program,
+    root: MethodId,
+    target: CheckTarget,
+    config: &DetectorConfig,
+) -> u64 {
+    let sem = (0..program.methods().len()).map(|i| hash_method(program, MethodId::from_index(i)).1);
+    let root_key = fold_root_key(shape_fingerprint(program), root, sem);
+    fold_result_key(root_key, target, config)
+}
+
+/// Folds the format epoch, the shape fingerprint, the entry point and
+/// every method's semantic hash (in id order) into a root key.
+fn fold_root_key(shape: u64, root: MethodId, sem: impl ExactSizeIterator<Item = u64>) -> u64 {
+    let mut h = Fnv::new();
+    h.u32(CACHE_EPOCH).u64(shape).u32(root.0);
+    h.u64(sem.len() as u64);
+    for s in sem {
+        h.u64(s);
+    }
+    h.finish()
+}
+
+fn fold_result_key(root_key: u64, target: CheckTarget, config: &DetectorConfig) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(root_key);
+    match target {
+        CheckTarget::Loop(l) => {
+            h.tag(1).u32(l.0);
+        }
+        CheckTarget::Region(m) => {
+            h.tag(2).u32(m.0);
+        }
+    }
+    h.u64(config_fingerprint(config));
+    h.finish()
 }
 
 fn hash_type(h: &mut Fnv, ty: &Type) {
@@ -524,10 +560,9 @@ pub fn cacheable_config(config: &DetectorConfig) -> bool {
 ///
 /// Builds a call graph with `algorithm` (the same construction `check`
 /// uses) for the callee relation; methods outside the reachable closure
-/// get `composed = sem` and do not influence `root_key` — flows,
-/// contexts, the PAG and the effect interpreter all operate within the
-/// reachable closure, and dispatch-relevant signature changes are
-/// pinned by the shape fingerprint.
+/// get `composed = sem`. The composed keys drive invalidation
+/// telemetry ([`SummaryCache::sync_methods`]); `root_key` folds every
+/// method's semantic hash and needs no call graph (see [`target_key`]).
 pub fn compute_keys(
     program: &Program,
     root: MethodId,
@@ -617,13 +652,10 @@ pub fn compute_keys(
             },
         );
     }
-    let root_comp = methods[&program.qualified_name(root)].composed;
-    let mut hr = Fnv::new();
-    hr.u32(CACHE_EPOCH).u64(shape).u64(root_comp);
     ProgramKeys {
         shape,
         methods,
-        root_key: hr.finish(),
+        root_key: fold_root_key(shape, root, sem.into_iter()),
     }
 }
 
@@ -1370,6 +1402,49 @@ mod tests {
         assert_eq!(cache.changed_methods(&keys), vec!["Depot.save".to_string()]);
         cache.sync_methods(&keys).unwrap();
         assert_eq!(cache.stats.invalidated, 2);
+    }
+
+    /// The warm path's call-graph-free key is the key `compute_keys`
+    /// records under, for a loop and for a region target. A constant
+    /// bump keeps it; a semantic edit moves it, even in a method the
+    /// entry never reaches.
+    #[test]
+    fn target_key_matches_compute_keys() {
+        let source = |n: u32, dead: &str| {
+            format!(
+                "class Item {{ }}
+                 class Plugin {{
+                   Item last;
+                   @region void run() {{ Item it = new Item(); this.last = it; }}
+                 }}
+                 class Dead {{ void idle() {{ Item x = null; {dead} }} }}
+                 class Main {{
+                   static void main() {{
+                     int n = {n};
+                     @check while (nondet()) {{ Item it = new Item(); }}
+                   }}
+                 }}"
+            )
+        };
+        let config = DetectorConfig::default();
+        let key_of = |src: &str, region: bool| {
+            let unit = leakchecker_frontend::compile(src).expect("subject compiles");
+            let target = if region {
+                CheckTarget::Region(unit.region_methods[0])
+            } else {
+                CheckTarget::Loop(unit.checked_loops[0])
+            };
+            let resolved = crate::target::resolve(&unit.program, target).unwrap();
+            let key = target_key(&resolved.program, resolved.root, target, &config);
+            let keys = compute_keys(&resolved.program, resolved.root, config.callgraph);
+            assert_eq!(key, keys.result_key(target, &config));
+            key
+        };
+        for region in [false, true] {
+            let base = key_of(&source(1, ""), region);
+            assert_eq!(base, key_of(&source(2, ""), region));
+            assert_ne!(base, key_of(&source(1, "Item y = x;"), region));
+        }
     }
 
     #[test]

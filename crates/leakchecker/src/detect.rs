@@ -435,7 +435,7 @@ pub fn check(
         summary,
         flows,
         contexts,
-        program,
+        program: program.into_owned(),
         traces,
     })
 }

@@ -67,7 +67,7 @@ pub mod target;
 pub mod witness;
 
 pub use cache::{
-    cacheable_config, compute_keys, CacheStats, CachedTarget, ProgramKeys, SummaryCache,
+    cacheable_config, compute_keys, target_key, CacheStats, CachedTarget, ProgramKeys, SummaryCache,
 };
 pub use contexts::{ContextConfig, ContextTable};
 pub use detect::{check, AnalysisResult, DetectorConfig, PhaseTimes, RunStats};

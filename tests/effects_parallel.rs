@@ -282,7 +282,8 @@ fn summaries_match_the_golden_oracle() {
         "golden file and input sweep disagree on size"
     );
     for ((label, source), want) in inputs.iter().zip(expected) {
-        for jobs in [1, 2] {
+        // Widths 3 and 8 give odd and oversubscribed batch packings.
+        for jobs in [1, 2, 3, 8] {
             let got = golden_line(label, &analyze_at(source, jobs));
             assert_eq!(
                 want, got,
