@@ -2,7 +2,8 @@
 //! ~`--stmts`-statement subject, analyzes it at every width in
 //! `--jobs-list`, and fails on
 //!
-//! * a wall-clock regression — the sequential end-to-end time must stay
+//! * a wall-clock regression — compiling the subject (lex, parse,
+//!   resolve) and the sequential end-to-end analysis must each stay
 //!   under `--ceiling` seconds;
 //! * a scaling regression — the widest run must reach `--min-speedup`
 //!   over sequential end-to-end, and its effects phase must reach
@@ -96,13 +97,21 @@ fn main() {
     );
     let points = scaling_sweep(args.stmts, &args.jobs_list, 2);
     print!("{}", render_scaling(&points));
-
     let seq = &points[0];
+    println!("compile(s) {:.3}", seq.compile_secs);
+
     if seq.statements < args.stmts * 4 / 5 {
         eprintln!(
             "FAIL: generated only {} statements, wanted at least {}",
             seq.statements,
             args.stmts * 4 / 5
+        );
+        std::process::exit(1);
+    }
+    if seq.compile_secs > args.ceiling_secs {
+        eprintln!(
+            "FAIL: compiling the subject took {:.2}s, ceiling is {:.2}s",
+            seq.compile_secs, args.ceiling_secs
         );
         std::process::exit(1);
     }

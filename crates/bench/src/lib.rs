@@ -253,6 +253,9 @@ pub struct ScalingPoint {
     pub statements: usize,
     /// Reachable methods.
     pub methods: usize,
+    /// Best-of-N seconds to compile the subject's source (lex, parse,
+    /// resolve); the same for every point, since the sweep compiles once.
+    pub compile_secs: f64,
     /// Requested worker width for this point.
     pub jobs: usize,
     /// Resolved width (after mapping `0` to the machine width).
@@ -298,6 +301,10 @@ pub fn scaling_sweep(
         ..LargeConfig::default()
     });
     let unit = leakchecker_frontend::compile(&generated.source).expect("large subject compiles");
+    let compile_secs = stopwatch::measure_best(0, samples, || {
+        leakchecker_frontend::compile(&generated.source)
+    })
+    .as_secs_f64();
     let target = CheckTarget::Loop(unit.checked_loops[0]);
     let run = |jobs: usize| {
         let config = DetectorConfig {
@@ -344,6 +351,7 @@ pub fn scaling_sweep(
                 target_statements,
                 statements: result.stats.statements,
                 methods: result.stats.methods,
+                compile_secs,
                 jobs,
                 eff_jobs,
                 secs,

@@ -155,12 +155,17 @@ impl<'a> Reader<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -942,6 +947,25 @@ mod tests {
             overrides,
         });
         assert!(line.contains("\"deadline_ms\": 1234"), "{line}");
+    }
+
+    #[test]
+    fn mebibyte_source_round_trips() {
+        // Long unescaped runs with quotes, escapes and multi-byte text
+        // between them; string scanning must stay linear in the frame.
+        let chunk = "class A { void m() { int x = 1; } } // \"é\" \\ 中\n\t";
+        let mut source = String::new();
+        while source.len() < 1 << 20 {
+            source.push_str(chunk);
+        }
+        let req = Request::Check {
+            id: Some("1".to_string()),
+            source,
+            overrides: CheckOverrides::default(),
+        };
+        let line = render_request(&req);
+        assert!(line.len() > 1 << 20);
+        assert_eq!(parse_request(&line).unwrap(), req);
     }
 
     #[test]

@@ -2,55 +2,94 @@
 //!
 //! The parser produces this tree; the resolver lowers it to the
 //! three-address IR of `leakchecker-ir`.
+//!
+//! Every name in the tree borrows from the source text (`'s`), and every
+//! expression lives in one table ([`Unit::exprs`]) where nodes refer to
+//! their operands by [`ExprId`]. An expression therefore costs no
+//! allocation of its own; only lists (blocks, arguments, parameters) do,
+//! one each. The resolver copies a name only where the IR keeps it.
 
 use crate::error::Span;
+use std::borrow::Cow;
 
-/// A parsed compilation unit: a list of class declarations.
+/// A parsed compilation unit: a list of class declarations and the table
+/// of every expression in them.
 #[derive(Clone, Debug, Default)]
-pub struct Unit {
+pub struct Unit<'s> {
     /// All classes in source order.
-    pub classes: Vec<ClassDecl>,
+    pub classes: Vec<ClassDecl<'s>>,
+    /// Every expression of the unit, operands before the nodes that use
+    /// them. Index it with an [`ExprId`].
+    pub exprs: Vec<Expr<'s>>,
+}
+
+impl<'s> std::ops::Index<ExprId> for Unit<'s> {
+    type Output = Expr<'s>;
+
+    fn index(&self, id: ExprId) -> &Expr<'s> {
+        &self.exprs[id.index()]
+    }
+}
+
+/// The position of an expression in [`Unit::exprs`].
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct ExprId(u32);
+
+impl ExprId {
+    /// The id of the expression at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` expressions.
+    pub fn from_index(index: usize) -> ExprId {
+        ExprId(u32::try_from(index).expect("fewer than 2^32 expressions"))
+    }
+
+    /// The table index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// A class declaration.
 #[derive(Clone, Debug)]
-pub struct ClassDecl {
+pub struct ClassDecl<'s> {
     /// Class name.
-    pub name: String,
+    pub name: &'s str,
     /// Superclass name, if an `extends` clause is present.
-    pub superclass: Option<String>,
+    pub superclass: Option<&'s str>,
     /// `library class` marks standard-library code.
     pub is_library: bool,
     /// Field declarations.
-    pub fields: Vec<FieldDecl>,
+    pub fields: Vec<FieldDecl<'s>>,
     /// Method and constructor declarations.
-    pub methods: Vec<MethodDecl>,
+    pub methods: Vec<MethodDecl<'s>>,
     /// Source location of the `class` keyword.
     pub span: Span,
 }
 
 /// A field declaration, optionally with an initializer expression.
 #[derive(Clone, Debug)]
-pub struct FieldDecl {
+pub struct FieldDecl<'s> {
     /// Field name.
-    pub name: String,
+    pub name: &'s str,
     /// Declared type.
-    pub ty: TypeName,
+    pub ty: TypeName<'s>,
     /// `static` flag.
     pub is_static: bool,
     /// Optional initializer, lowered into constructor prologues
     /// (or a static initializer for static fields).
-    pub init: Option<Expr>,
+    pub init: Option<ExprId>,
     /// Source location.
     pub span: Span,
 }
 
 /// A method or constructor declaration.
 #[derive(Clone, Debug)]
-pub struct MethodDecl {
+pub struct MethodDecl<'s> {
     /// Method name; constructors use the class name and are lowered to
     /// `<init>`.
-    pub name: String,
+    pub name: &'s str,
     /// `true` when this is a constructor.
     pub is_ctor: bool,
     /// `static` flag.
@@ -59,29 +98,29 @@ pub struct MethodDecl {
     /// wraps its body in an artificial loop (paper Section 1).
     pub is_region: bool,
     /// Return type (`void` for constructors).
-    pub ret_ty: TypeName,
+    pub ret_ty: TypeName<'s>,
     /// Parameter list.
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'s>>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'s>>,
     /// Source location of the declaration.
     pub span: Span,
 }
 
 /// A formal parameter.
 #[derive(Clone, Debug)]
-pub struct Param {
+pub struct Param<'s> {
     /// Parameter name.
-    pub name: String,
+    pub name: &'s str,
     /// Declared type.
-    pub ty: TypeName,
+    pub ty: TypeName<'s>,
 }
 
 /// A syntactic type name (resolved to `leakchecker_ir::Type` later).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TypeName {
+pub struct TypeName<'s> {
     /// Base name: `int`, `boolean`, `void`, or a class name.
-    pub base: String,
+    pub base: &'s str,
     /// Number of `[]` suffixes.
     pub dims: usize,
     /// Source location.
@@ -90,15 +129,15 @@ pub struct TypeName {
 
 /// A statement.
 #[derive(Clone, Debug)]
-pub enum Stmt {
+pub enum Stmt<'s> {
     /// `T x;` or `T x = e;`
     VarDecl {
         /// Declared type.
-        ty: TypeName,
+        ty: TypeName<'s>,
         /// Variable name.
-        name: String,
+        name: &'s str,
         /// Optional initializer.
-        init: Option<Expr>,
+        init: Option<ExprId>,
         /// Location.
         span: Span,
     },
@@ -106,38 +145,38 @@ pub enum Stmt {
     /// field place.
     Assign {
         /// Assignment target.
-        target: Expr,
+        target: ExprId,
         /// Right-hand side.
-        value: Expr,
+        value: ExprId,
         /// Location.
         span: Span,
     },
     /// An expression evaluated for effect (a call).
-    Expr(Expr),
+    Expr(ExprId),
     /// `if (cond) { .. } else { .. }`.
     If {
         /// Condition.
-        cond: Expr,
+        cond: ExprId,
         /// Then branch.
-        then_branch: Vec<Stmt>,
+        then_branch: Vec<Stmt<'s>>,
         /// Else branch (possibly empty).
-        else_branch: Vec<Stmt>,
+        else_branch: Vec<Stmt<'s>>,
         /// Location.
         span: Span,
     },
     /// `while (cond) { .. }`, possibly annotated `@check`.
     While {
         /// Condition.
-        cond: Expr,
+        cond: ExprId,
         /// Body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'s>>,
         /// `@check` designates this loop for leak analysis.
         checked: bool,
         /// Location.
         span: Span,
     },
     /// `return;` or `return e;`
-    Return(Option<Expr>, Span),
+    Return(Option<ExprId>, Span),
     /// `break;`
     Break(Span),
     /// `continue;`
@@ -146,16 +185,17 @@ pub enum Stmt {
 
 /// A ground-truth annotation attached to a `new` expression.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum AllocAnnotation {
+pub enum AllocAnnotation<'s> {
     /// `@leak` — the site is a genuine leak.
     Leak,
     /// `@fp("why")` — reporting this site is an expected false positive.
-    FalsePositive(String),
+    /// The reason borrows from the source unless it has escapes.
+    FalsePositive(Cow<'s, str>),
 }
 
 /// An expression.
 #[derive(Clone, Debug)]
-pub enum Expr {
+pub enum Expr<'s> {
     /// `null`.
     Null(Span),
     /// `this`.
@@ -165,56 +205,56 @@ pub enum Expr {
     /// `true` / `false`.
     Bool(bool, Span),
     /// A plain name (local variable; resolved later).
-    Name(String, Span),
+    Name(&'s str, Span),
     /// `e.f` field access — `e` may resolve to a class name, making this a
     /// static field access.
     Field {
         /// Receiver expression.
-        base: Box<Expr>,
+        base: ExprId,
         /// Field name.
-        name: String,
+        name: &'s str,
         /// Location.
         span: Span,
     },
     /// `e[i]` array element access.
     Index {
         /// Array expression.
-        base: Box<Expr>,
+        base: ExprId,
         /// Index expression.
-        index: Box<Expr>,
+        index: ExprId,
         /// Location.
         span: Span,
     },
     /// `e.m(args)` / `ClassName.m(args)` / `m(args)` (implicit `this`).
     Call {
         /// Receiver; `None` means implicit `this` or same-class static.
-        base: Option<Box<Expr>>,
+        base: Option<ExprId>,
         /// Method name.
-        name: String,
+        name: &'s str,
         /// Arguments.
-        args: Vec<Expr>,
+        args: Vec<ExprId>,
         /// Location.
         span: Span,
     },
     /// `new C(args)` with optional `@leak` / `@fp` annotation.
     New {
         /// Class name.
-        class: String,
+        class: &'s str,
         /// Constructor arguments.
-        args: Vec<Expr>,
+        args: Vec<ExprId>,
         /// Ground-truth annotation.
-        annotation: Option<AllocAnnotation>,
+        annotation: Option<AllocAnnotation<'s>>,
         /// Location.
         span: Span,
     },
     /// `new T[len]` with optional annotation.
     NewArray {
         /// Element type.
-        elem: TypeName,
+        elem: TypeName<'s>,
         /// Length expression.
-        len: Box<Expr>,
+        len: ExprId,
         /// Ground-truth annotation.
-        annotation: Option<AllocAnnotation>,
+        annotation: Option<AllocAnnotation<'s>>,
         /// Location.
         span: Span,
     },
@@ -223,21 +263,21 @@ pub enum Expr {
         /// Operator token text (`+`, `==`, `&&`, ...).
         op: &'static str,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: ExprId,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: ExprId,
         /// Location.
         span: Span,
     },
     /// `!e`.
-    Not(Box<Expr>, Span),
+    Not(ExprId, Span),
     /// `-e`.
-    Neg(Box<Expr>, Span),
+    Neg(ExprId, Span),
     /// `nondet()` — an opaque boolean the analyses treat as unknown.
     NonDet(Span),
 }
 
-impl Expr {
+impl Expr<'_> {
     /// The source location of this expression.
     pub fn span(&self) -> Span {
         match self {
@@ -269,8 +309,8 @@ mod tests {
         let s = Span::at(Pos::new(2, 5));
         let e = Expr::Binary {
             op: "+",
-            lhs: Box::new(Expr::Int(1, s)),
-            rhs: Box::new(Expr::Int(2, s)),
+            lhs: ExprId::from_index(0),
+            rhs: ExprId::from_index(1),
             span: s,
         };
         assert_eq!(e.span(), s);

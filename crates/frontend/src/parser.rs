@@ -1,49 +1,116 @@
 //! Recursive-descent parser for the surface language.
 
 use crate::ast::{
-    AllocAnnotation, ClassDecl, Expr, FieldDecl, MethodDecl, Param, Stmt, TypeName, Unit,
+    AllocAnnotation, ClassDecl, Expr, ExprId, FieldDecl, MethodDecl, Param, Stmt, TypeName, Unit,
 };
 use crate::error::{CompileError, Phase, Result, Span};
-use crate::lexer::{tokenize, Token, TokenKind};
+use crate::lexer::{unescape, Lexer, Token, TokenKind};
 
-/// Parses a complete compilation unit.
+/// Parses a complete compilation unit. The tree borrows every name from
+/// `source`.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
-pub fn parse(source: &str) -> Result<Unit> {
-    let tokens = tokenize(source)?;
-    Parser { tokens, pos: 0 }.unit()
+/// Returns the first lexical error anywhere in the source, else the first
+/// syntactic error.
+pub fn parse(source: &str) -> Result<Unit<'_>> {
+    let mut parser = Parser::new(source);
+    let unit = parser.unit();
+    parser.finish(unit)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// The parser pulls tokens from the lexer as it goes and keeps only the
+/// current token and the two after it. Tokens are `Copy` and borrow their
+/// text, so looking ahead and consuming never allocate.
+///
+/// Expressions go into one table and refer to their operands by
+/// [`ExprId`]. Blocks and argument lists collect their items on shared
+/// stacks and move them into one exact-size `Vec` when they close, so
+/// each list costs one allocation however long it grows.
+struct Parser<'s> {
+    lexer: Lexer<'s>,
+    /// The current token and the two after it. Once the lexer reaches
+    /// the end (or fails), the window fills with [`TokenKind::Eof`].
+    window: [Token<'s>; 3],
+    /// The first lexical error. The parser sees end of input after it.
+    lex_error: Option<CompileError>,
+    /// The expression table of the unit being parsed.
+    exprs: Vec<Expr<'s>>,
+    /// Statements of the open blocks, innermost last.
+    stmts: Vec<Stmt<'s>>,
+    /// Arguments of the open argument lists, innermost last.
+    args: Vec<ExprId>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'s> Parser<'s> {
+    fn new(source: &'s str) -> Self {
+        let eof = Token {
+            kind: TokenKind::Eof,
+            span: Span::default(),
+        };
+        let mut parser = Parser {
+            lexer: Lexer::new(source),
+            window: [eof; 3],
+            lex_error: None,
+            exprs: Vec::new(),
+            stmts: Vec::new(),
+            args: Vec::new(),
+        };
+        parser.window = [parser.lex(), parser.lex(), parser.lex()];
+        parser
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
-    }
-
-    fn peek2_kind(&self) -> &TokenKind {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// The next token from the lexer, or `Eof` once it has failed.
+    fn lex(&mut self) -> Token<'s> {
+        if self.lex_error.is_none() {
+            match self.lexer.next_token() {
+                Ok(token) => return token,
+                Err(e) => self.lex_error = Some(e),
+            }
         }
-        t
+        Token {
+            kind: TokenKind::Eof,
+            span: Span::default(),
+        }
+    }
+
+    /// Reports errors as tokenizing the whole source before parsing
+    /// would: a lexical error anywhere wins over a syntax error before
+    /// it, so a failed parse lexes the rest of the source first.
+    fn finish(mut self, unit: Result<Unit<'s>>) -> Result<Unit<'s>> {
+        if unit.is_err() {
+            while self.lex_error.is_none() && self.lex().kind != TokenKind::Eof {}
+        }
+        match self.lex_error {
+            Some(e) => Err(e),
+            None => unit,
+        }
+    }
+
+    fn peek_kind(&self) -> TokenKind<'s> {
+        self.window[0].kind
+    }
+
+    fn peek2_kind(&self) -> TokenKind<'s> {
+        self.window[1].kind
+    }
+
+    /// Consumes the current token; at end of input, stays there.
+    fn bump(&mut self) {
+        if self.window[0].kind != TokenKind::Eof {
+            self.window = [self.window[1], self.window[2], self.lex()];
+        }
+    }
+
+    /// Adds an expression to the table.
+    fn node(&mut self, e: Expr<'s>) -> ExprId {
+        let id = ExprId::from_index(self.exprs.len());
+        self.exprs.push(e);
+        id
     }
 
     fn span(&self) -> Span {
-        self.peek().span
+        self.window[0].span
     }
 
     fn error(&self, message: impl Into<String>) -> CompileError {
@@ -51,7 +118,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek_kind(), TokenKind::Punct(q) if *q == p) {
+        if matches!(self.peek_kind(), TokenKind::Punct(q) if q == p) {
             self.bump();
             true
         } else {
@@ -84,9 +151,9 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Span)> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) if !is_keyword(&s) => {
+    fn expect_ident(&mut self) -> Result<(&'s str, Span)> {
+        match self.peek_kind() {
+            TokenKind::Ident(s) if !is_keyword(s) => {
                 let span = self.span();
                 self.bump();
                 Ok((s, span))
@@ -95,15 +162,18 @@ impl Parser {
         }
     }
 
-    fn unit(&mut self) -> Result<Unit> {
+    fn unit(&mut self) -> Result<Unit<'s>> {
         let mut classes = Vec::new();
         while !matches!(self.peek_kind(), TokenKind::Eof) {
             classes.push(self.class_decl()?);
         }
-        Ok(Unit { classes })
+        Ok(Unit {
+            classes,
+            exprs: std::mem::take(&mut self.exprs),
+        })
     }
 
-    fn class_decl(&mut self) -> Result<ClassDecl> {
+    fn class_decl(&mut self) -> Result<ClassDecl<'s>> {
         let span = self.span();
         let is_library = self.eat_keyword("library");
         self.expect_keyword("class")?;
@@ -120,7 +190,7 @@ impl Parser {
             if matches!(self.peek_kind(), TokenKind::Eof) {
                 return Err(self.error("unexpected end of input inside class body"));
             }
-            self.member(&name, &mut fields, &mut methods)?;
+            self.member(name, &mut fields, &mut methods)?;
         }
         Ok(ClassDecl {
             name,
@@ -135,12 +205,12 @@ impl Parser {
     fn member(
         &mut self,
         class_name: &str,
-        fields: &mut Vec<FieldDecl>,
-        methods: &mut Vec<MethodDecl>,
+        fields: &mut Vec<FieldDecl<'s>>,
+        methods: &mut Vec<MethodDecl<'s>>,
     ) -> Result<()> {
         let span = self.span();
         let mut is_region = false;
-        while let TokenKind::At(a) = self.peek_kind().clone() {
+        while let TokenKind::At(a) = self.peek_kind() {
             if a == "region" {
                 is_region = true;
                 self.bump();
@@ -159,12 +229,12 @@ impl Parser {
             let params = self.params()?;
             let body = self.block()?;
             methods.push(MethodDecl {
-                name: "<init>".to_string(),
+                name: "<init>",
                 is_ctor: true,
                 is_static: false,
                 is_region,
                 ret_ty: TypeName {
-                    base: "void".to_string(),
+                    base: "void",
                     dims: 0,
                     span,
                 },
@@ -211,7 +281,7 @@ impl Parser {
         Ok(())
     }
 
-    fn params(&mut self) -> Result<Vec<Param>> {
+    fn params(&mut self) -> Result<Vec<Param<'s>>> {
         self.expect_punct("(")?;
         let mut params = Vec::new();
         if !self.eat_punct(")") {
@@ -228,11 +298,11 @@ impl Parser {
         Ok(params)
     }
 
-    fn type_name(&mut self) -> Result<TypeName> {
+    fn type_name(&mut self) -> Result<TypeName<'s>> {
         let span = self.span();
-        let base = match self.peek_kind().clone() {
+        let base = match self.peek_kind() {
             TokenKind::Ident(s)
-                if s == "int" || s == "boolean" || s == "void" || !is_keyword(&s) =>
+                if s == "int" || s == "boolean" || s == "void" || !is_keyword(s) =>
             {
                 self.bump();
                 s
@@ -250,23 +320,24 @@ impl Parser {
         Ok(TypeName { base, dims, span })
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>> {
+    fn block(&mut self) -> Result<Vec<Stmt<'s>>> {
         self.expect_punct("{")?;
-        let mut stmts = Vec::new();
+        let start = self.stmts.len();
         while !self.eat_punct("}") {
             if matches!(self.peek_kind(), TokenKind::Eof) {
                 return Err(self.error("unexpected end of input inside block"));
             }
-            stmts.push(self.stmt()?);
+            let stmt = self.stmt()?;
+            self.stmts.push(stmt);
         }
-        Ok(stmts)
+        Ok(self.stmts.split_off(start))
     }
 
-    fn stmt(&mut self) -> Result<Stmt> {
+    fn stmt(&mut self) -> Result<Stmt<'s>> {
         let span = self.span();
 
         // `@check while (...)` — designated loop.
-        if let TokenKind::At(a) = self.peek_kind().clone() {
+        if let TokenKind::At(a) = self.peek_kind() {
             if a == "check" {
                 self.bump();
                 self.expect_keyword("while")?;
@@ -275,8 +346,8 @@ impl Parser {
             // allocation annotations are handled inside expressions
         }
 
-        match self.peek_kind().clone() {
-            TokenKind::Ident(kw) if kw == "if" => {
+        match self.peek_kind() {
+            TokenKind::Ident("if") => {
                 self.bump();
                 self.expect_punct("(")?;
                 let cond = self.expr()?;
@@ -298,11 +369,11 @@ impl Parser {
                     span,
                 })
             }
-            TokenKind::Ident(kw) if kw == "while" => {
+            TokenKind::Ident("while") => {
                 self.bump();
                 self.while_stmt(false, span)
             }
-            TokenKind::Ident(kw) if kw == "return" => {
+            TokenKind::Ident("return") => {
                 self.bump();
                 let value = if self.eat_punct(";") {
                     None
@@ -313,12 +384,12 @@ impl Parser {
                 };
                 Ok(Stmt::Return(value, span))
             }
-            TokenKind::Ident(kw) if kw == "break" => {
+            TokenKind::Ident("break") => {
                 self.bump();
                 self.expect_punct(";")?;
                 Ok(Stmt::Break(span))
             }
-            TokenKind::Ident(kw) if kw == "continue" => {
+            TokenKind::Ident("continue") => {
                 self.bump();
                 self.expect_punct(";")?;
                 Ok(Stmt::Continue(span))
@@ -328,7 +399,7 @@ impl Parser {
             // ident[] ident. The base type is a class name or one of the
             // primitive type keywords.
             TokenKind::Ident(s)
-                if (s == "int" || s == "boolean" || !is_keyword(&s))
+                if (s == "int" || s == "boolean" || !is_keyword(s))
                     && (matches!(self.peek2_kind(), TokenKind::Ident(n) if !is_keyword(n))
                         || self.looks_like_array_decl()) =>
             {
@@ -368,13 +439,10 @@ impl Parser {
     /// True for `Ident [ ] Ident`, the start of an array-typed declaration.
     fn looks_like_array_decl(&self) -> bool {
         matches!(self.peek2_kind(), TokenKind::Punct("["))
-            && matches!(
-                self.tokens.get(self.pos + 2).map(|t| &t.kind),
-                Some(TokenKind::Punct("]"))
-            )
+            && matches!(self.window[2].kind, TokenKind::Punct("]"))
     }
 
-    fn while_stmt(&mut self, checked: bool, span: Span) -> Result<Stmt> {
+    fn while_stmt(&mut self, checked: bool, span: Span) -> Result<Stmt<'s>> {
         self.expect_punct("(")?;
         let cond = self.expr()?;
         self.expect_punct(")")?;
@@ -387,107 +455,48 @@ impl Parser {
         })
     }
 
-    fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+    fn expr(&mut self) -> Result<ExprId> {
+        self.binary_expr(1)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while matches!(self.peek_kind(), TokenKind::Punct("||")) {
-            let span = self.span();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: "||",
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.cmp_expr()?;
-        while matches!(self.peek_kind(), TokenKind::Punct("&&")) {
-            let span = self.span();
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: "&&",
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek_kind() {
-            TokenKind::Punct(p @ ("==" | "!=" | "<" | "<=" | ">" | ">=")) => *p,
-            _ => return Ok(lhs),
-        };
-        let span = self.span();
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-            span,
-        })
-    }
-
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
-        while let TokenKind::Punct(p @ ("+" | "-")) = self.peek_kind() {
-            let op = *p;
-            let span = self.span();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr> {
+    /// Parses a chain of binary operators that bind at least as tightly
+    /// as `min`, left-associatively, by precedence climbing. Comparisons
+    /// do not chain: after `a < b` the next comparison is left to the
+    /// caller, and so is every operator tighter than the last one taken
+    /// here (a deeper level declined it), which stops all levels there.
+    fn binary_expr(&mut self, min: u8) -> Result<ExprId> {
         let mut lhs = self.unary_expr()?;
-        while let TokenKind::Punct(p @ ("*" | "/" | "%")) = self.peek_kind() {
-            let op = *p;
+        let mut last = u8::MAX;
+        while let TokenKind::Punct(op) = self.peek_kind() {
+            let Some(prec) = precedence(op) else {
+                break;
+            };
+            if prec < min || prec > last || (prec == COMPARISON && last == COMPARISON) {
+                break;
+            }
             let span = self.span();
             self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
+            let rhs = self.binary_expr(prec + 1)?;
+            lhs = self.node(Expr::Binary { op, lhs, rhs, span });
+            last = prec;
         }
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr> {
+    fn unary_expr(&mut self) -> Result<ExprId> {
         let span = self.span();
         if self.eat_punct("!") {
             let e = self.unary_expr()?;
-            return Ok(Expr::Not(Box::new(e), span));
+            return Ok(self.node(Expr::Not(e, span)));
         }
         if self.eat_punct("-") {
             let e = self.unary_expr()?;
-            return Ok(Expr::Neg(Box::new(e), span));
+            return Ok(self.node(Expr::Neg(e, span)));
         }
         self.postfix_expr()
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr> {
+    fn postfix_expr(&mut self) -> Result<ExprId> {
         let mut e = self.primary_expr()?;
         loop {
             let span = self.span();
@@ -495,18 +504,18 @@ impl Parser {
                 let (name, _) = self.expect_ident()?;
                 if matches!(self.peek_kind(), TokenKind::Punct("(")) {
                     let args = self.args()?;
-                    e = Expr::Call {
-                        base: Some(Box::new(e)),
+                    e = self.node(Expr::Call {
+                        base: Some(e),
                         name,
                         args,
                         span,
-                    };
+                    });
                 } else {
-                    e = Expr::Field {
-                        base: Box::new(e),
+                    e = self.node(Expr::Field {
+                        base: e,
                         name,
                         span,
-                    };
+                    });
                 }
             } else if matches!(self.peek_kind(), TokenKind::Punct("["))
                 && !matches!(self.peek2_kind(), TokenKind::Punct("]"))
@@ -514,11 +523,11 @@ impl Parser {
                 self.bump();
                 let index = self.expr()?;
                 self.expect_punct("]")?;
-                e = Expr::Index {
-                    base: Box::new(e),
-                    index: Box::new(index),
+                e = self.node(Expr::Index {
+                    base: e,
+                    index,
                     span,
-                };
+                });
             } else {
                 break;
             }
@@ -526,24 +535,25 @@ impl Parser {
         Ok(e)
     }
 
-    fn args(&mut self) -> Result<Vec<Expr>> {
+    fn args(&mut self) -> Result<Vec<ExprId>> {
         self.expect_punct("(")?;
-        let mut args = Vec::new();
+        let start = self.args.len();
         if !self.eat_punct(")") {
             loop {
-                args.push(self.expr()?);
+                let arg = self.expr()?;
+                self.args.push(arg);
                 if self.eat_punct(")") {
                     break;
                 }
                 self.expect_punct(",")?;
             }
         }
-        Ok(args)
+        Ok(self.args.split_off(start))
     }
 
-    fn alloc_annotation(&mut self) -> Result<Option<AllocAnnotation>> {
-        if let TokenKind::At(a) = self.peek_kind().clone() {
-            match a.as_str() {
+    fn alloc_annotation(&mut self) -> Result<Option<AllocAnnotation<'s>>> {
+        if let TokenKind::At(a) = self.peek_kind() {
+            match a {
                 "leak" => {
                     self.bump();
                     return Ok(Some(AllocAnnotation::Leak));
@@ -551,10 +561,10 @@ impl Parser {
                 "fp" => {
                     self.bump();
                     self.expect_punct("(")?;
-                    let reason = match self.peek_kind().clone() {
+                    let reason = match self.peek_kind() {
                         TokenKind::Str(s) => {
                             self.bump();
-                            s
+                            unescape(s)
                         }
                         other => {
                             return Err(
@@ -575,7 +585,7 @@ impl Parser {
         Ok(None)
     }
 
-    fn primary_expr(&mut self) -> Result<Expr> {
+    fn primary_expr(&mut self) -> Result<ExprId> {
         let span = self.span();
         let annotation = self.alloc_annotation()?;
         if let Some(annotation) = annotation {
@@ -583,7 +593,7 @@ impl Parser {
             self.expect_keyword("new")?;
             return self.new_expr(Some(annotation), span);
         }
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Punct("(") => {
                 self.bump();
                 let e = self.expr()?;
@@ -592,24 +602,24 @@ impl Parser {
             }
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(Expr::Int(v, span))
+                Ok(self.node(Expr::Int(v, span)))
             }
-            TokenKind::Ident(s) => match s.as_str() {
+            TokenKind::Ident(s) => match s {
                 "null" => {
                     self.bump();
-                    Ok(Expr::Null(span))
+                    Ok(self.node(Expr::Null(span)))
                 }
                 "this" => {
                     self.bump();
-                    Ok(Expr::This(span))
+                    Ok(self.node(Expr::This(span)))
                 }
                 "true" => {
                     self.bump();
-                    Ok(Expr::Bool(true, span))
+                    Ok(self.node(Expr::Bool(true, span)))
                 }
                 "false" => {
                     self.bump();
-                    Ok(Expr::Bool(false, span))
+                    Ok(self.node(Expr::Bool(false, span)))
                 }
                 "new" => {
                     self.bump();
@@ -619,23 +629,23 @@ impl Parser {
                     self.bump();
                     self.expect_punct("(")?;
                     self.expect_punct(")")?;
-                    Ok(Expr::NonDet(span))
+                    Ok(self.node(Expr::NonDet(span)))
                 }
-                _ if is_keyword(&s) => {
+                _ if is_keyword(s) => {
                     Err(self.error(format!("unexpected keyword `{s}` in expression")))
                 }
                 _ => {
                     self.bump();
                     if matches!(self.peek_kind(), TokenKind::Punct("(")) {
                         let args = self.args()?;
-                        Ok(Expr::Call {
+                        Ok(self.node(Expr::Call {
                             base: None,
                             name: s,
                             args,
                             span,
-                        })
+                        }))
                     } else {
-                        Ok(Expr::Name(s, span))
+                        Ok(self.node(Expr::Name(s, span)))
                     }
                 }
             },
@@ -643,30 +653,46 @@ impl Parser {
         }
     }
 
-    fn new_expr(&mut self, annotation: Option<AllocAnnotation>, span: Span) -> Result<Expr> {
+    fn new_expr(&mut self, annotation: Option<AllocAnnotation<'s>>, span: Span) -> Result<ExprId> {
         let ty = self.type_name()?;
         if matches!(self.peek_kind(), TokenKind::Punct("[")) {
             self.bump();
             let len = self.expr()?;
             self.expect_punct("]")?;
-            Ok(Expr::NewArray {
+            Ok(self.node(Expr::NewArray {
                 elem: ty,
-                len: Box::new(len),
+                len,
                 annotation,
                 span,
-            })
+            }))
         } else if ty.dims > 0 {
             Err(self.error("array allocation requires a length: `new T[n]`"))
         } else {
             let args = self.args()?;
-            Ok(Expr::New {
+            Ok(self.node(Expr::New {
                 class: ty.base,
                 args,
                 annotation,
                 span,
-            })
+            }))
         }
     }
+}
+
+/// Precedence of the comparison operators, which do not chain.
+const COMPARISON: u8 = 3;
+
+/// How tightly a binary operator binds: `||` loosest, then `&&`, the
+/// comparisons, `+`/`-` and `*`/`/`/`%`. `None` for other punctuation.
+fn precedence(op: &str) -> Option<u8> {
+    Some(match op {
+        "||" => 1,
+        "&&" => 2,
+        "==" | "!=" | "<" | "<=" | ">" | ">=" => COMPARISON,
+        "+" | "-" => 4,
+        "*" | "/" | "%" => 5,
+        _ => return None,
+    })
 }
 
 fn is_keyword(s: &str) -> bool {
@@ -749,7 +775,7 @@ mod tests {
         let Stmt::VarDecl { init: Some(e), .. } = &body[0] else {
             panic!("expected var decl");
         };
-        let Expr::New { annotation, .. } = e else {
+        let Expr::New { annotation, .. } = &unit[*e] else {
             panic!("expected new");
         };
         assert_eq!(*annotation, Some(AllocAnnotation::Leak));
@@ -762,7 +788,7 @@ mod tests {
         let Stmt::VarDecl { init: Some(e), .. } = &unit.classes[0].methods[0].body[0] else {
             panic!()
         };
-        let Expr::New { annotation, .. } = e else {
+        let Expr::New { annotation, .. } = &unit[*e] else {
             panic!()
         };
         assert_eq!(
@@ -790,21 +816,20 @@ mod tests {
         let Stmt::Assign { target, .. } = &m.body[1] else {
             panic!()
         };
-        assert!(matches!(target, Expr::Index { .. }));
+        assert!(matches!(unit[*target], Expr::Index { .. }));
     }
 
     #[test]
     fn parses_operator_precedence() {
         let unit = parse("class C { static void m() { int x = 1 + 2 * 3; } }").unwrap();
-        let Stmt::VarDecl {
-            init: Some(Expr::Binary { op, rhs, .. }),
-            ..
-        } = &unit.classes[0].methods[0].body[0]
-        else {
+        let Stmt::VarDecl { init: Some(e), .. } = &unit.classes[0].methods[0].body[0] else {
+            panic!()
+        };
+        let Expr::Binary { op, rhs, .. } = &unit[*e] else {
             panic!()
         };
         assert_eq!(*op, "+");
-        assert!(matches!(**rhs, Expr::Binary { op: "*", .. }));
+        assert!(matches!(unit[*rhs], Expr::Binary { op: "*", .. }));
     }
 
     #[test]
@@ -862,6 +887,68 @@ mod tests {
         assert!(unit.classes[0].fields[1].init.is_some());
     }
 
+    /// The error a statement `x = <expr>;` inside a method gives.
+    fn expr_error(expr: &str) -> CompileError {
+        parse(&format!("class C {{ void m() {{ x = {expr}; }} }}")).unwrap_err()
+    }
+
+    #[test]
+    fn binary_operators_bind_by_precedence_and_associate_left() {
+        let unit = parse("class C { void m() { x = a || b && c < d - e - f * g; } }").unwrap();
+        let Stmt::Assign { value, .. } = &unit.classes[0].methods[0].body[0] else {
+            panic!()
+        };
+        // Renders the tree fully parenthesized.
+        fn show(unit: &Unit<'_>, e: ExprId) -> String {
+            match &unit[e] {
+                Expr::Binary { op, lhs, rhs, .. } => {
+                    format!("({} {op} {})", show(unit, *lhs), show(unit, *rhs))
+                }
+                Expr::Name(n, _) => n.to_string(),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(
+            show(&unit, *value),
+            "(a || (b && (c < ((d - e) - (f * g)))))"
+        );
+    }
+
+    #[test]
+    fn comparisons_do_not_chain() {
+        // The second comparison is left unparsed wherever it appears,
+        // and the statement then misses its `;` at it.
+        for (expr, second) in [
+            ("a < b < c", "<"),
+            ("a && b < c < d", "<"),
+            ("a < b + c == d", "=="),
+            ("!a == b != c", "!="),
+        ] {
+            let err = expr_error(expr);
+            assert_eq!(err.phase, Phase::Parse, "{expr}");
+            assert_eq!(err.message, format!("expected `;`, found `{second}`"));
+            // The expression starts at column 26.
+            let col = 26 + expr.rfind(second).unwrap() as u32;
+            assert_eq!(err.span.start.col, col, "{expr}");
+        }
+        assert!(parse("class C { void m() { x = a < b && c < d || e == f; } }").is_ok());
+    }
+
+    #[test]
+    fn a_lexical_error_anywhere_wins_over_an_earlier_syntax_error() {
+        // Tokens are pulled lazily, but errors are reported as if the
+        // whole source were tokenized before parsing.
+        let err = parse("class C { void m( } }\n\n  # class").unwrap_err();
+        assert_eq!(err.phase, Phase::Lex);
+        assert_eq!(err.span.start, crate::error::Pos::new(3, 3));
+        let err = parse("class C { int x = ; }").unwrap_err();
+        assert_eq!(err.phase, Phase::Parse);
+        // A truncated parse after the bad character still reports it.
+        let err = parse("class C { } @").unwrap_err();
+        assert_eq!(err.phase, Phase::Lex);
+        assert_eq!(err.message, "expected annotation name after `@`");
+    }
+
     #[test]
     fn parses_logical_operators() {
         let unit = parse("class C { static void m(int a) { if (a < 1 && a > -5 || a == 3) { } } }")
@@ -869,6 +956,6 @@ mod tests {
         let Stmt::If { cond, .. } = &unit.classes[0].methods[0].body[0] else {
             panic!()
         };
-        assert!(matches!(cond, Expr::Binary { op: "||", .. }));
+        assert!(matches!(unit[*cond], Expr::Binary { op: "||", .. }));
     }
 }

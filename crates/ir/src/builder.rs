@@ -25,11 +25,15 @@ use crate::ids::{AllocSite, CallSite, ClassId, FieldId, LocalId, LoopId, MethodI
 use crate::program::{AllocInfo, CallInfo, Class, Field, Local, LoopInfo, Method, Program};
 use crate::stmt::{BinOp, CallKind, Cond, Operand, SiteLabel, Stmt};
 use crate::types::Type;
+use std::fmt::Write as _;
 
 /// Builder for a whole [`Program`].
 #[derive(Debug)]
 pub struct ProgramBuilder {
     program: Program,
+    /// The statement stack of the last finished [`MethodBuilder`], kept
+    /// so the next method reuses its capacity.
+    spare_stmts: Vec<Stmt>,
 }
 
 impl Default for ProgramBuilder {
@@ -43,13 +47,17 @@ impl ProgramBuilder {
     pub fn new() -> Self {
         ProgramBuilder {
             program: Program::new(),
+            spare_stmts: Vec::new(),
         }
     }
 
     /// Resumes building on top of an existing program, e.g. to synthesize
     /// an artificial driver loop around a checkable region.
     pub fn resume(program: Program) -> Self {
-        ProgramBuilder { program }
+        ProgramBuilder {
+            program,
+            spare_stmts: Vec::new(),
+        }
     }
 
     /// Adds an application class extending `superclass`
@@ -131,9 +139,10 @@ impl ProgramBuilder {
             body: Vec::new(),
         });
         MethodBuilder {
+            stmts: std::mem::take(&mut self.spare_stmts),
             pb: self,
             method: id,
-            frames: vec![Vec::new()],
+            frames: Vec::new(),
             locals_taken: 0,
             temp_counter: 0,
             next_label: SiteLabel::None,
@@ -150,9 +159,10 @@ impl ProgramBuilder {
     pub fn resume_method(&mut self, method: MethodId) -> MethodBuilder<'_> {
         let temp_counter = self.program.method(method).locals.len();
         MethodBuilder {
+            stmts: std::mem::take(&mut self.spare_stmts),
             pb: self,
             method,
-            frames: vec![Vec::new()],
+            frames: Vec::new(),
             locals_taken: 0,
             temp_counter,
             next_label: SiteLabel::None,
@@ -192,8 +202,11 @@ impl ProgramBuilder {
 pub struct MethodBuilder<'pb> {
     pb: &'pb mut ProgramBuilder,
     method: MethodId,
-    /// Stack of statement lists: the innermost open block is last.
-    frames: Vec<Vec<Stmt>>,
+    /// Statements of every open block, outermost first.
+    stmts: Vec<Stmt>,
+    /// Where each open nested block starts in `stmts`, innermost last.
+    /// Closing a block moves its statements into one exact-size `Vec`.
+    frames: Vec<usize>,
     locals_taken: usize,
     temp_counter: usize,
     next_label: SiteLabel,
@@ -225,27 +238,27 @@ impl<'pb> MethodBuilder<'pb> {
 
     /// Declares a named local variable.
     pub fn local(&mut self, name: &str, ty: Type) -> LocalId {
+        self.push_local(name.to_string(), ty)
+    }
+
+    /// Declares a compiler temporary, named `$tN`.
+    pub fn temp(&mut self, ty: Type) -> LocalId {
+        self.temp_counter += 1;
+        // `$t` and up to six digits fit without growing the string.
+        let mut name = String::with_capacity(8);
+        write!(name, "$t{}", self.temp_counter).expect("writing to a String cannot fail");
+        self.push_local(name, ty)
+    }
+
+    fn push_local(&mut self, name: String, ty: Type) -> LocalId {
         let m = self.pb.program.method_mut(self.method);
         let id = LocalId::from_index(m.locals.len());
-        m.locals.push(Local {
-            name: name.to_string(),
-            ty,
-        });
+        m.locals.push(Local { name, ty });
         id
     }
 
-    /// Declares a compiler temporary.
-    pub fn temp(&mut self, ty: Type) -> LocalId {
-        self.temp_counter += 1;
-        let name = format!("$t{}", self.temp_counter);
-        self.local(&name, ty)
-    }
-
     fn push(&mut self, stmt: Stmt) {
-        self.frames
-            .last_mut()
-            .expect("builder frame stack is never empty")
-            .push(stmt);
+        self.stmts.push(stmt);
     }
 
     /// Attaches a ground-truth label to the *next* allocation statement.
@@ -265,8 +278,8 @@ impl<'pb> MethodBuilder<'pb> {
 
     /// Appends `dst = new C`.
     pub fn new_object(&mut self, dst: LocalId, class: ClassId) -> AllocSite {
-        let name = self.pb.program.class(class).name.clone();
-        let site = self.fresh_alloc(Type::Ref(class), format!("new {name}"));
+        let describe = ["new ", &self.pb.program.class(class).name].concat();
+        let site = self.fresh_alloc(Type::Ref(class), describe);
         self.push(Stmt::New { dst, class, site });
         site
     }
@@ -420,12 +433,12 @@ impl<'pb> MethodBuilder<'pb> {
         then_build: impl FnOnce(&mut Self),
         else_build: impl FnOnce(&mut Self),
     ) {
-        self.frames.push(Vec::new());
+        self.begin_frame();
         then_build(self);
-        let then_branch = self.frames.pop().expect("then frame");
-        self.frames.push(Vec::new());
+        let then_branch = self.end_frame();
+        self.begin_frame();
         else_build(self);
-        let else_branch = self.frames.pop().expect("else frame");
+        let else_branch = self.end_frame();
         self.push(Stmt::If {
             cond,
             then_branch,
@@ -448,9 +461,9 @@ impl<'pb> MethodBuilder<'pb> {
             method: self.method,
             synthetic: false,
         });
-        self.frames.push(Vec::new());
+        self.begin_frame();
         body_build(self);
-        let body = self.frames.pop().expect("loop frame");
+        let body = self.end_frame();
         self.push(Stmt::While { id, cond, body });
         id
     }
@@ -466,7 +479,7 @@ impl<'pb> MethodBuilder<'pb> {
     /// [`MethodBuilder::if_else`] / [`MethodBuilder::while_cond`], used by
     /// the frontend's recursive lowering.
     pub fn begin_frame(&mut self) {
-        self.frames.push(Vec::new());
+        self.frames.push(self.stmts.len());
     }
 
     /// Closes the innermost explicit frame and returns its statements.
@@ -475,8 +488,8 @@ impl<'pb> MethodBuilder<'pb> {
     ///
     /// Panics if no frame is open.
     pub fn end_frame(&mut self) -> Vec<Stmt> {
-        assert!(self.frames.len() > 1, "no open frame");
-        self.frames.pop().expect("frame stack underflow")
+        let start = self.frames.pop().expect("no open frame");
+        self.stmts.split_off(start)
     }
 
     /// Appends an `if` built from pre-assembled branch bodies
@@ -525,10 +538,11 @@ impl<'pb> MethodBuilder<'pb> {
     /// Panics if a structured frame was left open (cannot happen through the
     /// closure API) or locals were leaked.
     pub fn finish(mut self) {
-        assert_eq!(self.frames.len(), 1, "unclosed structured frame");
-        let body = self.frames.pop().expect("root frame");
+        assert!(self.frames.is_empty(), "unclosed structured frame");
+        let body = self.stmts.split_off(0);
         let _ = self.locals_taken;
         self.pb.program.method_mut(self.method).body = body;
+        self.pb.spare_stmts = std::mem::take(&mut self.stmts);
     }
 }
 
