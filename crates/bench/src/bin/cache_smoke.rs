@@ -3,12 +3,13 @@
 //! contracts the cache makes.
 //!
 //! * **Warm speed + determinism** (default mode): seed a persistent
-//!   store with a cold run, bump one integer constant in one stage
-//!   method, then re-check the edited program at every width in
+//!   store with a cold run and 150 synthetic ≈11 KB result records (a
+//!   long edit session's history), bump one integer constant in one
+//!   stage method, then re-check the edited program at every width in
 //!   `--jobs-list` — cold with the cache disabled and warm from the
-//!   store. Fails if any width misses, if any warm replay is not
-//!   byte-identical to the cache-disabled report, or if the warm path
-//!   is under `--min-speedup` times faster than cold.
+//!   store (open, key, look up). Fails if any width misses, if any warm
+//!   replay is not byte-identical to the cache-disabled report, or if
+//!   the warm path is under `--min-speedup` times faster than cold.
 //! * **Fault recovery** (`--chaos PLAN`): seed the store, inject the
 //!   plan's disk faults (`torn-cache@N`, `flip@N:byte`, `trunc@N`)
 //!   into the cache file, reopen, and re-check warm. Fails unless the

@@ -9,8 +9,9 @@
 //!
 //! # Keying scheme
 //!
-//! Each method gets two content hashes (FNV-1a 64 over a streaming walk
-//! of its IR body — no pretty-printing on the warm path):
+//! Each method gets two content hashes ([`Fnv`], a 64-bit streaming
+//! hash, over a walk of its IR body — no pretty-printing on the warm
+//! path):
 //!
 //! * the **exact hash** covers every statement detail and changes on
 //!   any edit; it drives delta diagnostics (`cache_invalidated`);
@@ -51,19 +52,27 @@
 //! epoch; every record is one line
 //!
 //! ```text
-//! <kind> <epoch> <fnv16hex> <len> <key> <payload>\n
+//! <kind> <epoch> <sum16hex> <len> <key> <payload>\n
 //! ```
 //!
-//! with key and payload escaped (`\\`, `\n`, space), `len` the
-//! unescaped payload length, and the checksum spanning kind, epoch, key
-//! and payload. The trailing newline certifies the commit; appends are
-//! fsync'd. On load, a record failing magic/epoch/field/length/checksum
-//! validation is quarantined and treated as a miss — **corruption
-//! degrades to a miss, never to a wrong answer** — with the cause
-//! counted in `cache_corrupt_recovered`. A torn tail (kill -9
-//! mid-commit) is truncated away exactly like the journal's resume
-//! path; interior damage triggers a compacting rewrite of the surviving
-//! records through [`write_atomic`].
+//! with the key escaped (`\\`, `\n`, space as `\s`), the payload — the
+//! rest of the line — escaped (`\\`, `\n`), `len` the unescaped payload
+//! length, and the checksum mixing kind, epoch and the escaped bytes
+//! after the checksum field a word at a time. The trailing newline
+//! certifies the commit; each commit is one fsync'd append. On load, a
+//! record failing magic/epoch/field/escape/length/checksum validation
+//! is quarantined and treated as a miss — **corruption degrades to a
+//! miss, never to a wrong answer** — with the cause counted in
+//! `cache_corrupt_recovered`. A torn tail (kill -9 mid-commit) is
+//! truncated away exactly like the journal's resume path; interior
+//! damage triggers a compacting rewrite of the surviving records
+//! through [`write_atomic`].
+//!
+//! Loading is one read and one pass over the file's bytes, which stay
+//! the store's only copy: every record is checked in place, result
+//! records are indexed as key → payload range (a hit unescapes and
+//! decodes only its own payload), and the per-method map is built only
+//! when a miss or a delta first asks for it.
 //!
 //! Runs that are witness-recording, fault-injected, wall-clock-governed
 //! or degraded are never cached: their outputs depend on state outside
@@ -71,7 +80,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::detect::DetectorConfig;
@@ -84,7 +94,7 @@ use leakchecker_ir::{Cond, MethodId, Operand, Program, SiteLabel, Stmt, Type};
 pub const CACHE_MAGIC: &str = "LKCACHE";
 /// Format epoch: bump on any incompatible change to the record format
 /// *or* the keying scheme — stale files then load as all-miss.
-pub const CACHE_EPOCH: u32 = 2;
+pub const CACHE_EPOCH: u32 = 3;
 /// Store file name inside the cache directory.
 pub const CACHE_FILE: &str = "summaries.lkc";
 
@@ -95,11 +105,19 @@ pub const CACHE_FILE: &str = "summaries.lkc";
 pub const TEAR_ENV: &str = "LEAKC_CACHE_TEAR_AT";
 
 // ---------------------------------------------------------------------
-// FNV-1a 64
+// Hashing
 // ---------------------------------------------------------------------
 
-/// Streaming FNV-1a 64 hasher (the workspace is hermetic: no external
-/// hash crates; FNV matches the journal's checksum lineage).
+/// One word-at-a-time mixing step: a bijection of `state` for a fixed
+/// `word` and of `word` for a fixed `state`.
+fn mix(state: u64, word: u64) -> u64 {
+    (state.rotate_left(23) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Streaming 64-bit hasher (the workspace is hermetic: no external hash
+/// crates). Byte strings go through FNV-1a, the journal's checksum
+/// lineage; an integer is absorbed whole in one [`mix`] step, so keying
+/// a statement costs a few multiplies instead of one per byte.
 #[derive(Copy, Clone, Debug)]
 pub struct Fnv(u64);
 
@@ -124,14 +142,15 @@ impl Fnv {
         self
     }
 
-    /// Absorbs a `u64` (little-endian).
+    /// Absorbs a `u64` in one step.
     pub fn u64(&mut self, v: u64) -> &mut Fnv {
-        self.bytes(&v.to_le_bytes())
+        self.0 = mix(self.0, v);
+        self
     }
 
-    /// Absorbs a `u32`.
+    /// Absorbs a `u32` in one step.
     pub fn u32(&mut self, v: u32) -> &mut Fnv {
-        self.bytes(&v.to_le_bytes())
+        self.u64(u64::from(v))
     }
 
     /// Absorbs a one-byte tag (statement/operand discriminants).
@@ -798,8 +817,8 @@ impl CachedTarget {
             }
             let _ = write!(out, "{c}");
         }
-        let _ = write!(out, "\treport={}", field_escape(&self.report));
-        let _ = write!(out, "\tjson={}", field_escape(&self.json));
+        let _ = write!(out, "\treport={}", escape(&self.report, FIELD_ESCAPES));
+        let _ = write!(out, "\tjson={}", escape(&self.json, FIELD_ESCAPES));
         out
     }
 
@@ -824,8 +843,8 @@ impl CachedTarget {
                         *slot = part.parse().ok()?;
                     }
                 }
-                "report" => out.report = field_unescape(value)?,
-                "json" => out.json = field_unescape(value)?,
+                "report" => out.report = unescape(value, FIELD_ESCAPES)?,
+                "json" => out.json = unescape(value, FIELD_ESCAPES)?,
                 _ => return None,
             }
         }
@@ -833,118 +852,260 @@ impl CachedTarget {
     }
 }
 
-/// Escapes a payload field value (`\\`, tab, newline).
-fn field_escape(s: &str) -> String {
+/// Escape tables: each listed character is written as a backslash and
+/// its letter.
+type Escapes = [(char, char)];
+
+/// Payload fields are tab-separated, one payload per line.
+const FIELD_ESCAPES: &Escapes = &[('\\', '\\'), ('\t', 't'), ('\n', 'n')];
+
+/// A record key is a space-separated field of a line.
+const KEY_ESCAPES: &Escapes = &[('\\', '\\'), ('\n', 'n'), (' ', 's')];
+
+/// A record payload is the rest of its line, so only a newline (and the
+/// escape character) needs escaping.
+const PAYLOAD_ESCAPES: &Escapes = &[('\\', '\\'), ('\n', 'n')];
+
+/// Escapes every character of `s` listed in `table`, copying each run
+/// between them in one `push_str`.
+fn escape(s: &str, table: &Escapes) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+    let mut run = 0;
+    for (at, c) in s.char_indices() {
+        if let Some(&(_, letter)) = table.iter().find(|&&(raw, _)| raw == c) {
+            out.push_str(&s[run..at]);
+            out.push('\\');
+            out.push(letter);
+            run = at + c.len_utf8();
         }
     }
+    out.push_str(&s[run..]);
     out
 }
 
-fn field_unescape(s: &str) -> Option<String> {
+/// Inverts [`escape`]; `None` on an escape `table` does not list.
+fn unescape(s: &str, table: &Escapes) -> Option<String> {
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            _ => return None,
-        }
+    let mut rest = s;
+    while let Some(at) = find_byte(rest.as_bytes(), b'\\') {
+        out.push_str(&rest[..at]);
+        let letter = char::from(*rest.as_bytes().get(at + 1)?);
+        let &(raw, _) = table.iter().find(|&&(_, l)| l == letter)?;
+        out.push(raw);
+        rest = &rest[at + 2..];
     }
+    out.push_str(rest);
     Some(out)
+}
+
+/// Index of the first `needle` in `hay`.
+fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
+    find_any(hay, needle, needle)
+}
+
+/// Index of the first `a` or `b` in `hay`, eight bytes at a time.
+fn find_any(hay: &[u8], a: u8, b: u8) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    // Flags the zero bytes of `x`. The lowest flag is always a true
+    // zero: a false flag can only sit above a true one.
+    let zeros = |x: u64| x.wrapping_sub(LO) & !x & HI;
+    let (pa, pb) = (LO * u64::from(a), LO * u64::from(b));
+    let mut words = hay.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        let hits = zeros(w ^ pa) | zeros(w ^ pb);
+        if hits != 0 {
+            return Some(base + (hits.trailing_zeros() / 8) as usize);
+        }
+        base += 8;
+    }
+    let tail = words.remainder();
+    tail.iter()
+        .position(|&c| c == a || c == b)
+        .map(|i| base + i)
 }
 
 // ---------------------------------------------------------------------
 // Record layer
 // ---------------------------------------------------------------------
 
-/// Escapes a record key or payload for the line format (`\\`, `\n`,
-/// space as `\s`): the unescaped form round-trips exactly and the
-/// escaped form can never split fields or tear a line boundary.
-fn record_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            ' ' => out.push_str("\\s"),
-            c => out.push(c),
-        }
+/// The checksum of a record line: its kind, the format epoch and the
+/// body length, then the escaped bytes after the checksum field
+/// (`<len> <key> <payload>`), [`mix`]ed a word at a time in two
+/// interleaved lanes. Each step is a bijection of its lane for a fixed
+/// word and of the word for a fixed lane, so damage confined to one
+/// aligned word — any single flipped byte — always changes the sum.
+fn record_checksum(kind: u8, body: &[u8]) -> u64 {
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8-byte word"));
+    let mut a = mix((u64::from(kind) << 32) | u64::from(CACHE_EPOCH), 0);
+    let mut b = mix(!0, body.len() as u64);
+    let mut pairs = body.chunks_exact(16);
+    for pair in &mut pairs {
+        a = mix(a, word(&pair[..8]));
+        b = mix(b, word(&pair[8..]));
     }
-    out
+    let mut tail = [0u8; 16];
+    tail[..pairs.remainder().len()].copy_from_slice(pairs.remainder());
+    a = mix(a, word(&tail[..8]));
+    b = mix(b, word(&tail[8..]));
+    let h = mix(a, b.rotate_left(32));
+    h ^ (h >> 29)
 }
 
-fn record_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            's' => out.push(' '),
-            _ => return None,
-        }
+/// Appends one committed record line (including the certifying
+/// newline) to `buf`; returns where it lies.
+fn push_record(buf: &mut Vec<u8>, kind: u8, key: &str, payload: &str) -> Slot {
+    let escaped = escape(payload, PAYLOAD_ESCAPES);
+    let body = format!("{} {} {escaped}", payload.len(), escape(key, KEY_ESCAPES));
+    let sum = record_checksum(kind, body.as_bytes());
+    let line = buf.len();
+    let _ = writeln!(buf, "{} {CACHE_EPOCH} {sum:016x} {body}", char::from(kind));
+    let end = buf.len() - 1;
+    Slot {
+        line,
+        payload: end - escaped.len()..end,
     }
-    Some(out)
 }
 
-fn record_checksum(kind: char, key: &str, payload: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.tag(kind as u8).u32(CACHE_EPOCH).str(key).str(payload);
-    h.finish()
+/// A validated record line: its kind and where its escaped key and
+/// payload lie, as offsets from the start of the line.
+struct Record {
+    kind: u8,
+    key: Range<usize>,
+    payload: Range<usize>,
 }
 
-/// Renders one committed record line (including the certifying
-/// newline).
-fn render_record(kind: char, key: &str, payload: &str) -> String {
-    format!(
-        "{kind} {CACHE_EPOCH} {:016x} {} {} {}\n",
-        record_checksum(kind, key, payload),
-        payload.len(),
-        record_escape(key),
-        record_escape(payload),
-    )
-}
-
-/// Parses one newline-stripped record line; `None` means corrupt.
-fn parse_record(line: &str) -> Option<(char, String, String)> {
-    let mut parts = line.splitn(6, ' ');
-    let kind_str = parts.next()?;
-    let kind = match kind_str {
-        "R" => 'R',
-        "M" => 'M',
-        _ => return None,
+/// Validates the record line at the start of `bytes` in place — kind,
+/// epoch, checksum, escapes and `len` — without allocating. The newline
+/// is found by the same scan that checks the payload's escapes. Returns
+/// the offset of the line's newline and the record, `None` in its place
+/// if the line is corrupt; `None` overall when no newline certifies the
+/// line (a torn tail). A payload's UTF-8 is checked when a hit decodes
+/// it.
+fn scan_line(bytes: &[u8]) -> Option<(usize, Option<Record>)> {
+    let offset = |rest: &[u8]| bytes.len() - rest.len();
+    let header = (|| {
+        let (&kind, rest) = bytes.split_first()?;
+        let (epoch, rest) = split_field(rest.strip_prefix(b" ")?)?;
+        let (sum, body) = (rest.get(..16)?, rest.get(16..)?.strip_prefix(b" ")?);
+        let (len, rest) = split_field(body)?;
+        let key_len = key_field(rest)?;
+        let (key, payload) = (&rest[..key_len], &rest[key_len + 1..]);
+        let well_formed = (kind == b'R' || kind == b'M')
+            && decimal(epoch)? == CACHE_EPOCH as usize
+            && std::str::from_utf8(key).is_ok();
+        if !well_formed {
+            return None;
+        }
+        let key = offset(rest)..offset(payload) - 1;
+        Some((
+            kind,
+            hex16(sum)?,
+            offset(body),
+            decimal(len)?,
+            key,
+            offset(payload),
+        ))
+    })();
+    let Some((kind, sum, body, len, key, payload)) = header else {
+        return Some((find_byte(bytes, b'\n')?, None));
     };
-    let epoch: u32 = parts.next()?.parse().ok()?;
-    if epoch != CACHE_EPOCH {
+    let mut escapes = Some(0);
+    let mut at = payload;
+    let end = loop {
+        let i = at + find_any(&bytes[at..], b'\\', b'\n')?;
+        if bytes[i] == b'\n' {
+            break i;
+        }
+        let letter = bytes.get(i + 1).copied().map(char::from);
+        if PAYLOAD_ESCAPES.iter().any(|&(_, l)| Some(l) == letter) {
+            escapes = escapes.map(|e| e + 1);
+            at = i + 2;
+        } else {
+            // Not an escape the writer emits: the line is corrupt, but
+            // its newline still has to be found.
+            escapes = None;
+            at = i + 1;
+        }
+    };
+    let valid = escapes.is_some_and(|e| end - payload - e == len)
+        && record_checksum(kind, &bytes[body..end]) == sum;
+    let record = valid.then_some(Record {
+        kind,
+        key,
+        payload: payload..end,
+    });
+    Some((end, record))
+}
+
+/// Length of the escaped key at the start of `bytes`, up to its
+/// terminating space; `None` if it holds a newline or an escape
+/// [`KEY_ESCAPES`] does not list.
+fn key_field(bytes: &[u8]) -> Option<usize> {
+    let mut at = 0;
+    loop {
+        match *bytes.get(at)? {
+            b' ' => return Some(at),
+            b'\n' => return None,
+            b'\\' => {
+                let letter = char::from(*bytes.get(at + 1)?);
+                KEY_ESCAPES.iter().find(|&&(_, l)| l == letter)?;
+                at += 2;
+            }
+            _ => at += 1,
+        }
+    }
+}
+
+/// Splits off the space-terminated field at the start of `bytes`.
+fn split_field(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let at = bytes.iter().position(|&b| b == b' ')?;
+    Some((&bytes[..at], &bytes[at + 1..]))
+}
+
+/// A non-empty run of ASCII digits, without overflow.
+fn decimal(digits: &[u8]) -> Option<usize> {
+    if digits.is_empty() {
         return None;
     }
-    let sum = u64::from_str_radix(parts.next()?, 16).ok()?;
-    let len: usize = parts.next()?.parse().ok()?;
-    let key = record_unescape(parts.next()?)?;
-    let payload = record_unescape(parts.next()?)?;
-    if payload.len() != len {
+    digits.iter().try_fold(0usize, |acc, &b| {
+        let digit = b.checked_sub(b'0').filter(|d| *d < 10)?;
+        acc.checked_mul(10)?.checked_add(usize::from(digit))
+    })
+}
+
+/// Exactly sixteen lowercase hex digits, as `{:016x}` writes them.
+fn hex16(digits: &[u8]) -> Option<u64> {
+    let digits: &[u8; 16] = digits.try_into().ok()?;
+    let (high, low) = digits.split_at(8);
+    Some((u64::from(hex8(high)?) << 32) | u64::from(hex8(low)?))
+}
+
+/// Eight lowercase hex digits read as one word, checked and packed
+/// without a branch per digit: `M` records carry four hex fields each,
+/// and open reads every one of them.
+fn hex8(digits: &[u8]) -> Option<u32> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let w = u64::from_le_bytes(digits.try_into().ok()?);
+    if w & HI != 0 {
         return None;
     }
-    if record_checksum(kind, &key, &payload) != sum {
+    // For an ASCII byte `x`, `x + 0x80 - lo` sets the top bit iff
+    // `x >= lo`, and `x + 0x7f - hi` iff `x > hi`; neither carries.
+    let in_range =
+        |lo: u8, hi: u8| (w + LO * u64::from(0x80 - lo)) & !(w + LO * u64::from(0x7f - hi)) & HI;
+    let letters = in_range(b'a', b'f');
+    if in_range(b'0', b'9') | letters != HI {
         return None;
     }
-    Some((kind, key, payload))
+    let nibbles = (w & (LO * 0x0f)) + (letters >> 7) * 9;
+    // Pack the nibbles; the first digit is the most significant.
+    let pairs = ((nibbles << 4) | (nibbles >> 8)) & 0x00ff_00ff_00ff_00ff;
+    let quads = ((pairs << 8) | (pairs >> 16)) & 0x0000_ffff_0000_ffff;
+    u32::try_from(((quads << 16) | (quads >> 32)) & 0xffff_ffff).ok()
 }
 
 // ---------------------------------------------------------------------
@@ -979,27 +1140,76 @@ pub struct StoredMethod {
     pub composed: u64,
 }
 
-/// The persistent summary store: validated in-memory view plus an
-/// append-only, fsync'd file.
+impl StoredMethod {
+    /// The `M` record payload: `exact,sem,composed` in hex.
+    fn triple(&self) -> String {
+        format!(
+            "{:016x},{:016x},{:016x}",
+            self.exact, self.sem, self.composed
+        )
+    }
+
+    /// Parses [`StoredMethod::triple`]'s exact shape.
+    fn parse_triple(bytes: &[u8]) -> Option<StoredMethod> {
+        if bytes.len() != 50 || bytes[16] != b',' || bytes[33] != b',' {
+            return None;
+        }
+        Some(StoredMethod {
+            exact: hex16(&bytes[..16])?,
+            sem: hex16(&bytes[17..33])?,
+            composed: hex16(&bytes[34..])?,
+        })
+    }
+}
+
+/// Where a committed record line lies in the store buffer: the line
+/// starts at `line` and its newline sits at `payload.end`.
+#[derive(Clone, Debug)]
+struct Slot {
+    line: usize,
+    payload: Range<usize>,
+}
+
+/// The persistent summary store: the file's bytes in one buffer, a
+/// validated index into them, and an append-only, fsync'd file.
 #[derive(Debug)]
 pub struct SummaryCache {
     path: PathBuf,
-    /// Result payloads by result key (last valid record wins).
-    results: BTreeMap<u64, String>,
-    /// Per-method summaries by qualified name.
-    methods: BTreeMap<String, StoredMethod>,
+    /// A current-epoch header and the record lines after it: the file's
+    /// bytes once `header_valid`. Commits append here and to the file.
+    buf: Vec<u8>,
+    /// Result records by result key (last valid record wins).
+    results: BTreeMap<u64, Slot>,
+    /// Escaped key ranges of the `M` records loaded from disk, in file
+    /// order, until `methods` is first built from them.
+    method_lines: Vec<(Range<usize>, StoredMethod)>,
+    /// Per-method summaries by qualified name; built only when a miss or
+    /// a delta asks for them, never on a hit.
+    methods: Option<BTreeMap<String, StoredMethod>>,
     /// Run telemetry.
     pub stats: CacheStats,
     /// `false` until the on-disk file has a valid current-epoch header;
-    /// the first append then rewrites it from the in-memory view.
+    /// the first commit then rewrites it from `buf`.
     header_valid: bool,
+}
+
+/// Spare capacity the store buffer is read with: room for one miss's
+/// commits (a ≈11 KB result record and its refreshed method lines)
+/// without moving the buffer, which would leave the old copy resident.
+const APPEND_ROOM: usize = 64 << 10;
+
+/// The header line every store starts with.
+fn header() -> Vec<u8> {
+    format!("{CACHE_MAGIC} {CACHE_EPOCH}\n").into_bytes()
 }
 
 impl SummaryCache {
     /// Opens (and validates) the store under `dir`, creating the
-    /// directory if needed. Corrupt records are quarantined and counted;
-    /// a torn tail is truncated in place; interior damage triggers a
-    /// compacting rewrite of the surviving records.
+    /// directory if needed: one read, then one pass that checks every
+    /// record in place and indexes the result records. Corrupt records
+    /// are quarantined and counted; a torn tail is truncated in place;
+    /// interior damage triggers a compacting rewrite of the surviving
+    /// records.
     ///
     /// # Errors
     ///
@@ -1010,8 +1220,10 @@ impl SummaryCache {
         let path = dir.join(CACHE_FILE);
         let mut cache = SummaryCache {
             path,
+            buf: header(),
             results: BTreeMap::new(),
-            methods: BTreeMap::new(),
+            method_lines: Vec::new(),
+            methods: None,
             stats: CacheStats::default(),
             header_valid: false,
         };
@@ -1020,49 +1232,51 @@ impl SummaryCache {
     }
 
     fn load(&mut self) -> std::io::Result<()> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
+        let mut file = match std::fs::File::open(&self.path) {
+            Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e),
         };
+        let size = usize::try_from(file.metadata()?.len()).unwrap_or(0);
+        let mut bytes = Vec::with_capacity(size + APPEND_ROOM);
+        file.read_to_end(&mut bytes)?;
         if bytes.is_empty() {
             return Ok(());
         }
-        let text = String::from_utf8_lossy(&bytes);
-        let Some((header, rest)) = text.split_once('\n') else {
+        let Some(header_end) = find_byte(&bytes, b'\n').map(|i| i + 1) else {
             // Torn header: the file never finished its create; treat as
             // empty and start over on the next commit.
             self.stats.corrupt_recovered += 1;
             return Ok(());
         };
-        if header != format!("{CACHE_MAGIC} {CACHE_EPOCH}") {
+        if bytes[..header_end] != self.buf[..] {
             // Bad magic or stale epoch: every record is a miss.
             self.stats.corrupt_recovered += 1;
             return Ok(());
         }
+        self.buf = bytes;
         self.header_valid = true;
-        let mut valid_len = header.len() + 1;
+        let mut valid_len = header_end;
         let mut interior_damage = false;
-        let mut scan = rest;
-        loop {
-            let Some((line, tail)) = scan.split_once('\n') else {
-                if !scan.is_empty() {
-                    // Torn tail: an append died mid-record (kill -9 /
-                    // power cut). The newline never certified it, so
-                    // drop it and self-heal the file like the journal's
-                    // resume path.
-                    self.stats.corrupt_recovered += 1;
-                    let f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
-                    f.set_len(valid_len as u64)?;
-                    f.sync_all()?;
-                }
+        let mut at = header_end;
+        while at < self.buf.len() {
+            let Some((newline, record)) = scan_line(&self.buf[at..]) else {
+                // Torn tail: an append died mid-record (kill -9 / power
+                // cut). The newline never certified it, so drop it and
+                // self-heal the file like the journal's resume path.
+                self.stats.corrupt_recovered += 1;
+                let f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
+                f.set_len(valid_len as u64)?;
+                f.sync_all()?;
+                self.buf.truncate(at);
                 break;
             };
-            match parse_record(line) {
-                Some((kind, key, payload)) => {
-                    self.absorb(kind, &key, &payload);
+            let next = at + newline + 1;
+            match record {
+                Some(record) => {
+                    self.admit(at, record);
                     if !interior_damage {
-                        valid_len += line.len() + 1;
+                        valid_len = next;
                     }
                 }
                 None => {
@@ -1070,7 +1284,7 @@ impl SummaryCache {
                     interior_damage = true;
                 }
             }
-            scan = tail;
+            at = next;
         }
         if interior_damage {
             // Quarantined interior records: rewrite the surviving view
@@ -1080,65 +1294,74 @@ impl SummaryCache {
         Ok(())
     }
 
-    fn absorb(&mut self, kind: char, key: &str, payload: &str) {
-        match kind {
-            'R' => {
-                if let Ok(k) = u64::from_str_radix(key, 16) {
-                    self.results.insert(k, payload.to_string());
-                } else {
-                    self.stats.corrupt_recovered += 1;
-                }
-            }
-            'M' => {
-                let parts: Vec<u64> = payload
-                    .split(',')
-                    .filter_map(|p| u64::from_str_radix(p, 16).ok())
-                    .collect();
-                if parts.len() == 3 {
-                    self.methods.insert(
-                        key.to_string(),
-                        StoredMethod {
-                            exact: parts[0],
-                            sem: parts[1],
-                            composed: parts[2],
-                        },
-                    );
-                } else {
-                    self.stats.corrupt_recovered += 1;
-                }
-            }
-            _ => unreachable!("parse_record admits only R and M"),
+    /// Indexes a validated record of the line starting at `line`. A
+    /// record whose key or method triple does not parse is counted and
+    /// skipped without damaging the file.
+    fn admit(&mut self, line: usize, record: Record) {
+        let at = |r: Range<usize>| line + r.start..line + r.end;
+        let (key, payload) = (at(record.key), at(record.payload));
+        let parsed = match record.kind {
+            b'R' => hex16(&self.buf[key])
+                .map(|key| self.results.insert(key, Slot { line, payload }))
+                .is_some(),
+            _ => StoredMethod::parse_triple(&self.buf[payload])
+                .map(|method| self.method_lines.push((key, method)))
+                .is_some(),
+        };
+        if !parsed {
+            self.stats.corrupt_recovered += 1;
         }
+    }
+
+    /// The per-method map, built from the loaded `M` records on first
+    /// use (last record per name wins).
+    fn methods(&mut self) -> &mut BTreeMap<String, StoredMethod> {
+        let (buf, lines) = (&self.buf, &mut self.method_lines);
+        self.methods.get_or_insert_with(|| {
+            let mut map = BTreeMap::new();
+            for (key, method) in lines.drain(..) {
+                let name = std::str::from_utf8(&buf[key])
+                    .ok()
+                    .and_then(|key| unescape(key, KEY_ESCAPES))
+                    .expect("M record keys are validated at load");
+                map.insert(name, method);
+            }
+            map
+        })
     }
 
     /// Rewrites the whole store from the in-memory view via
     /// [`write_atomic`].
     fn compact(&mut self) -> std::io::Result<()> {
-        let mut out = format!("{CACHE_MAGIC} {CACHE_EPOCH}\n");
-        for (name, m) in &self.methods {
-            out.push_str(&render_record(
-                'M',
-                name,
-                &format!("{:016x},{:016x},{:016x}", m.exact, m.sem, m.composed),
-            ));
+        let mut out = header();
+        for (name, method) in self.methods().iter() {
+            push_record(&mut out, b'M', name, &method.triple());
         }
-        for (key, payload) in &self.results {
-            out.push_str(&render_record('R', &format!("{key:016x}"), payload));
+        for slot in self.results.values_mut() {
+            let (line, payload) = (slot.line, slot.payload.clone());
+            let start = out.len();
+            out.extend_from_slice(&self.buf[line..=payload.end]);
+            *slot = Slot {
+                line: start,
+                payload: payload.start - line + start..payload.end - line + start,
+            };
         }
-        write_atomic(&self.path, out.as_bytes())?;
+        self.buf = out;
+        write_atomic(&self.path, &self.buf)?;
         self.header_valid = true;
         Ok(())
     }
 
-    fn append(&mut self, kind: char, key: &str, payload: &str) -> std::io::Result<()> {
+    /// Makes the record lines `buf[from..]` durable: one append and one
+    /// fsync, or — into a missing, stale or corrupt-headed file — one
+    /// atomic rewrite of the whole buffer.
+    fn commit(&mut self, from: usize) -> std::io::Result<()> {
         if !self.header_valid {
-            // First commit into a missing/stale/corrupt-headed file:
-            // rewrite it wholesale. Callers update the in-memory view
-            // before appending, so the compaction already persists this
-            // record — appends take over from the next commit on.
-            return self.compact();
+            write_atomic(&self.path, &self.buf)?;
+            self.header_valid = true;
+            return Ok(());
         }
-        let line = render_record(kind, key, payload);
+        let lines = &self.buf[from..];
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -1147,35 +1370,37 @@ impl SummaryCache {
             if let Ok(at) = tear.parse::<usize>() {
                 // Deterministic kill -9 mid-commit: emit a torn,
                 // newline-less prefix and die without fsync.
-                let cut = at.min(line.len().saturating_sub(1));
-                let _ = file.write_all(&line.as_bytes()[..cut]);
+                let cut = at.min(lines.len().saturating_sub(1));
+                let _ = file.write_all(&lines[..cut]);
                 let _ = file.flush();
                 std::process::abort();
             }
         }
-        file.write_all(line.as_bytes())?;
-        file.sync_all()?;
-        Ok(())
+        file.write_all(lines)?;
+        file.sync_all()
     }
 
-    /// Looks up a result record; counts a hit or a miss. A payload that
-    /// fails to decode (possible only through a checksum collision or a
-    /// format bug) is quarantined and reported as a miss.
+    /// Looks up a result record; counts a hit or a miss. Only the hit's
+    /// payload is unescaped and decoded. A payload that fails to decode
+    /// (possible only through a checksum collision or a format bug) is
+    /// quarantined and reported as a miss.
     pub fn lookup(&mut self, result_key: u64) -> Option<CachedTarget> {
-        match self.results.get(&result_key).cloned() {
-            Some(payload) => match CachedTarget::decode(&payload) {
-                Some(hit) => {
-                    self.stats.hits += 1;
-                    Some(hit)
-                }
-                None => {
-                    self.results.remove(&result_key);
-                    self.stats.corrupt_recovered += 1;
-                    self.stats.misses += 1;
-                    None
-                }
-            },
+        let Some(slot) = self.results.get(&result_key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let hit = std::str::from_utf8(&self.buf[slot.payload.clone()])
+            .ok()
+            .and_then(|payload| unescape(payload, PAYLOAD_ESCAPES))
+            .and_then(|payload| CachedTarget::decode(&payload));
+        match hit {
+            Some(hit) => {
+                self.stats.hits += 1;
+                Some(hit)
+            }
             None => {
+                self.results.remove(&result_key);
+                self.stats.corrupt_recovered += 1;
                 self.stats.misses += 1;
                 None
             }
@@ -1189,15 +1414,21 @@ impl SummaryCache {
     /// Propagates I/O failures; the in-memory view is updated first, so
     /// a failed commit degrades to a session-local cache.
     pub fn record(&mut self, result_key: u64, target: &CachedTarget) -> std::io::Result<()> {
-        let payload = target.encode();
-        self.results.insert(result_key, payload.clone());
-        self.append('R', &format!("{result_key:016x}"), &payload)
+        let from = self.buf.len();
+        let slot = push_record(
+            &mut self.buf,
+            b'R',
+            &format!("{result_key:016x}"),
+            &target.encode(),
+        );
+        self.results.insert(result_key, slot);
+        self.commit(from)
     }
 
     /// Qualified names of stored methods whose exact hash drifted from
     /// `keys` — the changed set a delta request reports.
-    pub fn changed_methods(&self, keys: &ProgramKeys) -> Vec<String> {
-        self.methods
+    pub fn changed_methods(&mut self, keys: &ProgramKeys) -> Vec<String> {
+        self.methods()
             .iter()
             .filter(|(name, stored)| {
                 keys.methods
@@ -1211,50 +1442,39 @@ impl SummaryCache {
     /// Synchronizes per-method summaries with `keys`: counts every
     /// stored summary whose *composed* key drifted (the edited methods
     /// plus, transitively, everything composing over them) into
-    /// `stats.invalidated`, then appends refreshed records for drifted
-    /// or new methods.
+    /// `stats.invalidated`, then commits refreshed records for drifted
+    /// or new methods in one append and one fsync.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures from the append path.
     pub fn sync_methods(&mut self, keys: &ProgramKeys) -> std::io::Result<()> {
-        let mut refreshed: Vec<(String, MethodKey)> = Vec::new();
+        self.methods();
+        let methods = self.methods.as_mut().expect("built just above");
+        let from = self.buf.len();
         for (name, k) in &keys.methods {
-            match self.methods.get(name) {
-                Some(stored)
-                    if stored.exact == k.exact
-                        && stored.sem == k.sem
-                        && stored.composed == k.composed => {}
-                Some(stored) => {
-                    if stored.composed != k.composed {
-                        self.stats.invalidated += 1;
-                    }
-                    refreshed.push((name.clone(), *k));
-                }
-                None => refreshed.push((name.clone(), *k)),
+            let fresh = StoredMethod {
+                exact: k.exact,
+                sem: k.sem,
+                composed: k.composed,
+            };
+            match methods.get(name) {
+                Some(stored) if *stored == fresh => continue,
+                Some(stored) if stored.composed != fresh.composed => self.stats.invalidated += 1,
+                _ => {}
             }
+            methods.insert(name.clone(), fresh);
+            push_record(&mut self.buf, b'M', name, &fresh.triple());
         }
-        for (name, k) in refreshed {
-            self.methods.insert(
-                name.clone(),
-                StoredMethod {
-                    exact: k.exact,
-                    sem: k.sem,
-                    composed: k.composed,
-                },
-            );
-            self.append(
-                'M',
-                &name,
-                &format!("{:016x},{:016x},{:016x}", k.exact, k.sem, k.composed),
-            )?;
+        if self.buf.len() == from {
+            return Ok(());
         }
-        Ok(())
+        self.commit(from)
     }
 
     /// Number of stored per-method summaries (test/telemetry surface).
-    pub fn method_count(&self) -> usize {
-        self.methods.len()
+    pub fn method_count(&mut self) -> usize {
+        self.methods().len()
     }
 
     /// Number of stored result records.
@@ -1290,6 +1510,30 @@ mod tests {
         }
     }
 
+    /// One committed record line, as a string.
+    fn render_record(kind: char, key: &str, payload: &str) -> String {
+        let mut buf = Vec::new();
+        push_record(&mut buf, kind as u8, key, payload);
+        String::from_utf8(buf).unwrap()
+    }
+
+    /// A record line with a valid checksum over arbitrary escaped
+    /// fields and `len` — what a buggy writer sharing the epoch could
+    /// commit.
+    fn forge_record(kind: char, len: usize, key: &[u8], payload: &[u8]) -> Vec<u8> {
+        let body = [format!("{len} ").as_bytes(), key, b" ", payload].concat();
+        let sum = record_checksum(kind as u8, &body);
+        let mut line = format!("{kind} {CACHE_EPOCH} {sum:016x} ").into_bytes();
+        line.extend_from_slice(&body);
+        line.push(b'\n');
+        line
+    }
+
+    /// `true` when `line` (newline included) scans as a valid record.
+    fn valid(line: &[u8]) -> bool {
+        matches!(scan_line(line), Some((_, Some(_))))
+    }
+
     #[test]
     fn record_line_round_trips_with_escapes() {
         let key = "Depot.save nested\\name";
@@ -1297,30 +1541,114 @@ mod tests {
         let line = render_record('M', key, payload);
         assert!(line.ends_with('\n'));
         assert!(!line.trim_end_matches('\n').contains('\n'));
-        let (kind, k, p) = parse_record(line.trim_end_matches('\n')).unwrap();
-        assert_eq!(kind, 'M');
-        assert_eq!(k, key);
-        assert_eq!(p, payload);
+        let (newline, record) = scan_line(line.as_bytes()).unwrap();
+        let record = record.unwrap();
+        assert_eq!(newline, line.len() - 1);
+        assert_eq!(record.kind, b'M');
+        assert_eq!(unescape(&line[record.key], KEY_ESCAPES).unwrap(), key);
+        assert_eq!(
+            unescape(&line[record.payload], PAYLOAD_ESCAPES).unwrap(),
+            payload
+        );
     }
 
     #[test]
-    fn parse_rejects_every_corruption_class() {
+    fn escapes_round_trip_runs_and_reject_unknown_letters() {
+        for table in [FIELD_ESCAPES, KEY_ESCAPES, PAYLOAD_ESCAPES] {
+            for s in [
+                "",
+                "plain",
+                " lead",
+                "trail\\",
+                "a\tb\nc d\\e",
+                "ünï cödé\n",
+            ] {
+                assert_eq!(unescape(&escape(s, table), table).as_deref(), Some(s));
+            }
+            for bad in ["\\x", "tail\\", "\\é"] {
+                assert_eq!(unescape(bad, table), None);
+            }
+        }
+        assert_eq!(escape("a b\nc\\", KEY_ESCAPES), "a\\sb\\nc\\\\");
+        assert_eq!(escape("a b\nc\\", PAYLOAD_ESCAPES), "a b\\nc\\\\");
+        assert_eq!(escape("a\tb", FIELD_ESCAPES), "a\\tb");
+        assert_eq!(unescape("\\s", FIELD_ESCAPES), None);
+        assert_eq!(unescape("\\s", PAYLOAD_ESCAPES), None);
+    }
+
+    #[test]
+    fn find_any_matches_position() {
+        let hay = b"0123456789abcdef\\ghij\nklmnopqrstuvwxyz";
+        for start in 0..hay.len() {
+            let slice = &hay[start..];
+            for (a, b) in [(b'\\', b'\n'), (b'\n', b'\n'), (b'z', b'#'), (b'#', b'#')] {
+                assert_eq!(
+                    find_any(slice, a, b),
+                    slice.iter().position(|&c| c == a || c == b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hex16_reads_exactly_what_the_writer_writes() {
+        let mut x = 0x0123_4567_89ab_cdefu64;
+        for _ in 0..1000 {
+            x = x.rotate_left(13).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x55;
+            for v in [x, 0, u64::MAX, x >> 32] {
+                assert_eq!(hex16(format!("{v:016x}").as_bytes()), Some(v));
+            }
+        }
+        let good = *b"0123456789abcdef";
+        for at in 0..16 {
+            for bad in [b'/', b':', b'@', b'A', b'F', b'`', b'g', b' ', 0x80, 0xff] {
+                let mut digits = good;
+                digits[at] = bad;
+                assert_eq!(hex16(&digits), None, "{digits:?}");
+            }
+        }
+        assert_eq!(hex16(b"0123456789abcde"), None);
+        assert_eq!(hex16(b"0123456789abcdef0"), None);
+    }
+
+    #[test]
+    fn scan_rejects_every_corruption_class() {
         let good = render_record('R', "00ab", "payload body");
-        let good = good.trim_end_matches('\n');
-        assert!(parse_record(good).is_some());
+        let good = good.as_bytes();
+        assert!(valid(good));
+        let replaced = |from: &str, to: &str| {
+            String::from_utf8(good.to_vec())
+                .unwrap()
+                .replacen(from, to, 1)
+                .into_bytes()
+        };
         // Bad kind.
-        assert!(parse_record(&good.replacen('R', "X", 1)).is_none());
+        assert!(!valid(&replaced("R", "X")));
         // Stale epoch.
-        let stale = good.replacen(&format!(" {CACHE_EPOCH} "), " 999 ", 1);
-        assert!(parse_record(&stale).is_none());
+        assert!(!valid(&replaced(&format!(" {CACHE_EPOCH} "), " 999 ")));
         // Flipped payload byte.
-        let flipped = good.replacen("body", "bodY", 1);
-        assert!(parse_record(&flipped).is_none());
-        // Truncated record.
-        assert!(parse_record(&good[..good.len() - 4]).is_none());
+        assert!(!valid(&replaced("body", "bodY")));
+        // Flipped key byte.
+        assert!(!valid(&replaced("00ab", "00aa")));
+        // Truncated record: no newline certifies it.
+        assert!(scan_line(&good[..good.len() - 4]).is_none());
         // Length/payload mismatch.
-        let longer = format!("{good}X");
-        assert!(parse_record(&longer).is_none());
+        assert!(!valid(&replaced("body\n", "bodyX\n")));
+        // A newline inside the header ends the line there.
+        let split = replaced(" payload", "\npayload");
+        let first_newline = split.iter().position(|&b| b == b'\n');
+        assert_eq!(
+            scan_line(&split).map(|(n, r)| (Some(n), r.is_some())),
+            Some((first_newline, false))
+        );
+        // A valid checksum over a key that is not UTF-8, a bad escape,
+        // or an off-by-one `len`.
+        assert!(!valid(&forge_record('M', 2, b"A.\xff", b"ab")));
+        assert!(!valid(&forge_record('M', 2, b"A.\\tb", b"ab")));
+        assert!(valid(&forge_record('M', 2, b"A.\\sb", b"ab")));
+        assert!(!valid(&forge_record('R', 4, b"00ab", b"ab\\xd")));
+        assert!(!valid(&forge_record('R', 13, b"00ab", b"payload\\nbody")));
+        assert!(valid(&forge_record('R', 12, b"00ab", b"payload\\nbody")));
     }
 
     #[test]
@@ -1542,6 +1870,261 @@ mod tests {
         assert_eq!(reopened.stats.corrupt_recovered, 1);
         assert!(reopened.lookup(1).is_some());
         assert_eq!(reopened.lookup(2), None, "truncated record must be a miss");
+
+        // A valid checksum over a bad escape, and over a `len` off by
+        // one: quarantined like any interior damage.
+        let encoded = sample_target().encode();
+        for (tag, forged) in [
+            (
+                "badescape",
+                forge_record('R', 4, b"0000000000000003", b"ab\\xd"),
+            ),
+            (
+                "badlen",
+                forge_record(
+                    'R',
+                    encoded.len() + 1,
+                    b"0000000000000003",
+                    escape(&encoded, PAYLOAD_ESCAPES).as_bytes(),
+                ),
+            ),
+        ] {
+            let dir = temp_store(tag);
+            let mut cache = SummaryCache::open(&dir).unwrap();
+            cache.record(1, &sample_target()).unwrap();
+            let path = cache.file_path().to_path_buf();
+            drop(cache);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(&forged);
+            std::fs::write(&path, bytes).unwrap();
+            let mut reopened = SummaryCache::open(&dir).unwrap();
+            assert_eq!(reopened.stats.corrupt_recovered, 1, "{tag}");
+            assert_eq!(reopened.lookup(3), None, "{tag} must be a miss");
+            assert!(
+                reopened.lookup(1).is_some(),
+                "{tag}: earlier record survives"
+            );
+        }
+
+        // Flipped byte in the key field: the checksum covers the key, so
+        // the record is quarantined rather than filed under key 3.
+        let dir = temp_store("keyflip");
+        let mut cache = SummaryCache::open(&dir).unwrap();
+        cache.record(1, &sample_target()).unwrap();
+        cache.record(2, &sample_target()).unwrap();
+        let path = cache.file_path().to_path_buf();
+        drop(cache);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let victim = text.lines().nth(1).unwrap().to_string();
+        let key = victim.split(' ').nth(4).unwrap();
+        assert_eq!(key, "0000000000000001");
+        let hacked = victim.replacen(key, "0000000000000003", 1);
+        std::fs::write(&path, text.replacen(&victim, &hacked, 1)).unwrap();
+        let mut reopened = SummaryCache::open(&dir).unwrap();
+        assert_eq!(reopened.stats.corrupt_recovered, 1);
+        assert_eq!(reopened.lookup(1), None, "flipped key must be a miss");
+        assert_eq!(reopened.lookup(3), None, "flipped key must not hit");
+        assert!(reopened.lookup(2).is_some(), "later record must survive");
+
+        // An `M` record whose triple is not hex: counted and skipped.
+        let dir = temp_store("mtriple");
+        let mut cache = SummaryCache::open(&dir).unwrap();
+        cache.record(1, &sample_target()).unwrap();
+        cache
+            .sync_methods(&method_keys(&[("Depot.save", (1, 2, 3))]))
+            .unwrap();
+        let path = cache.file_path().to_path_buf();
+        drop(cache);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&forge_record('M', 8, b"Util.log", b"zz,yy,xx"));
+        std::fs::write(&path, bytes).unwrap();
+        let mut reopened = SummaryCache::open(&dir).unwrap();
+        assert_eq!(reopened.stats.corrupt_recovered, 1);
+        assert_eq!(reopened.method_count(), 1);
+        assert!(reopened.lookup(1).is_some());
+    }
+
+    /// Per-method keys for the given `(name, (exact, sem, composed))`.
+    fn method_keys(entries: &[(&str, (u64, u64, u64))]) -> ProgramKeys {
+        ProgramKeys {
+            shape: 0,
+            methods: entries
+                .iter()
+                .map(|&(name, (exact, sem, composed))| {
+                    let key = MethodKey {
+                        exact,
+                        sem,
+                        composed,
+                    };
+                    (name.to_string(), key)
+                })
+                .collect(),
+            root_key: 0,
+        }
+    }
+
+    #[test]
+    fn a_hit_replays_the_same_payload_before_and_after_reopen() {
+        let dir = temp_store("samepayload");
+        let mut cache = SummaryCache::open(&dir).unwrap();
+        let target = CachedTarget {
+            report: "tab\there\nand a \\ backslash, ünïcode".to_string(),
+            ..sample_target()
+        };
+        cache.record(7, &target).unwrap();
+        let same_session = cache.lookup(7);
+        assert_eq!(same_session.as_ref(), Some(&target));
+        drop(cache);
+        let mut reopened = SummaryCache::open(&dir).unwrap();
+        assert_eq!(reopened.lookup(7), same_session);
+    }
+
+    /// The method map is built only when asked for, and a reopened
+    /// store reports the same drift and invalidations as the session
+    /// that wrote it.
+    #[test]
+    fn method_map_is_lazy_and_survives_reopen() {
+        let keys = method_keys(&[
+            ("Main.main", (10, 11, 12)),
+            ("Depot.save", (20, 21, 22)),
+            ("Util.log", (30, 31, 32)),
+        ]);
+        let edited = method_keys(&[
+            ("Main.main", (10, 11, 120)),
+            ("Depot.save", (200, 201, 202)),
+            ("Util.log", (30, 31, 32)),
+            ("New.one", (40, 41, 42)),
+        ]);
+        let live_dir = temp_store("lazy-live");
+        let mut live = SummaryCache::open(&live_dir).unwrap();
+        live.sync_methods(&keys).unwrap();
+        let changed = live.changed_methods(&edited);
+        assert_eq!(changed, vec!["Depot.save".to_string()]);
+        live.sync_methods(&edited).unwrap();
+
+        let dir = temp_store("lazy-reopen");
+        let mut cache = SummaryCache::open(&dir).unwrap();
+        cache.sync_methods(&keys).unwrap();
+        cache.record(1, &sample_target()).unwrap();
+        drop(cache);
+        let mut reopened = SummaryCache::open(&dir).unwrap();
+        assert!(reopened.lookup(1).is_some());
+        assert!(reopened.methods.is_none(), "a hit never builds the map");
+        assert_eq!(reopened.changed_methods(&edited), changed);
+        assert!(reopened.methods.is_some());
+        reopened.sync_methods(&edited).unwrap();
+        assert_eq!(reopened.stats.invalidated, live.stats.invalidated);
+        assert_eq!(reopened.stats.invalidated, 2);
+        assert_eq!(reopened.method_count(), 4);
+        drop(reopened);
+        let mut again = SummaryCache::open(&dir).unwrap();
+        assert!(again.changed_methods(&edited).is_empty());
+        again.sync_methods(&edited).unwrap();
+        assert_eq!(again.stats.invalidated, 0);
+    }
+
+    /// A torn `sync_methods` batch keeps its certified lines and drops
+    /// only the torn one.
+    #[test]
+    fn torn_method_batch_keeps_certified_lines() {
+        let dir = temp_store("tornbatch");
+        let mut cache = SummaryCache::open(&dir).unwrap();
+        cache.record(1, &sample_target()).unwrap();
+        let path = cache.file_path().to_path_buf();
+        let committed = std::fs::read(&path).unwrap().len();
+        cache
+            .sync_methods(&method_keys(&[
+                ("A.a", (1, 2, 3)),
+                ("B.b", (4, 5, 6)),
+                ("C.c", (7, 8, 9)),
+            ]))
+            .unwrap();
+        drop(cache);
+        let bytes = std::fs::read(&path).unwrap();
+        let batch = &bytes[committed..];
+        let second_end = committed
+            + batch
+                .iter()
+                .enumerate()
+                .filter(|(_, &b)| b == b'\n')
+                .nth(1)
+                .unwrap()
+                .0
+            + 1;
+        std::fs::write(&path, &bytes[..second_end + 10]).unwrap();
+        let mut reopened = SummaryCache::open(&dir).unwrap();
+        assert_eq!(reopened.stats.corrupt_recovered, 1);
+        assert_eq!(reopened.method_count(), 2);
+        assert!(reopened.lookup(1).is_some());
+        assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, second_end);
+    }
+
+    /// SplitMix64, for seeded mutants.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Byte mutants of a real multi-record store never make `open`
+    /// panic or fail, and a hit only ever returns the payload recorded
+    /// under its key.
+    #[test]
+    fn byte_mutants_never_panic_or_answer_wrongly() {
+        let dir = temp_store("mutants");
+        let targets: Vec<CachedTarget> = (1..=4u64)
+            .map(|i| CachedTarget {
+                reports_n: i,
+                report: format!("[{i}] leak: new Msg (alloc#{i})\n  via A.b \\ c\n")
+                    .repeat(i as usize),
+                ..sample_target()
+            })
+            .collect();
+        let mut cache = SummaryCache::open(&dir).unwrap();
+        for (key, target) in (1..).zip(&targets) {
+            cache.record(key, target).unwrap();
+        }
+        cache
+            .sync_methods(&method_keys(&[("A.b", (1, 2, 3)), ("C.d", (4, 5, 6))]))
+            .unwrap();
+        cache
+            .sync_methods(&method_keys(&[("A.b", (1, 2, 30)), ("C.d", (4, 5, 6))]))
+            .unwrap();
+        let path = cache.file_path().to_path_buf();
+        drop(cache);
+        let pristine = std::fs::read(&path).unwrap();
+        let mut rng = Mix(0x1eaf_cafe);
+        for _ in 0..2000 {
+            let mut bytes = pristine.clone();
+            let at = rng.below(bytes.len());
+            match rng.below(5) {
+                0 => bytes[at] ^= 1 << rng.below(8),
+                1 => bytes[at] = rng.next() as u8,
+                2 => bytes.truncate(at),
+                3 => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, [b'\n', b' ', b'\\', rng.next() as u8][rng.below(4)]),
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let mut store = SummaryCache::open(&dir).expect("damage is never an I/O error");
+            for (key, target) in (1..).zip(&targets) {
+                if let Some(hit) = store.lookup(key) {
+                    assert_eq!(&hit, target, "key {key} answered with another payload");
+                }
+            }
+            assert!(store.method_count() <= 2);
+        }
     }
 
     #[test]
@@ -1551,7 +2134,8 @@ mod tests {
         // A record that passes the checksum (it was legitimately
         // committed) but whose payload is not a CachedTarget — e.g.
         // written by a buggy build sharing the epoch.
-        cache.results.insert(5, "not-a-target".to_string());
+        let slot = push_record(&mut cache.buf, b'R', "0000000000000005", "not-a-target");
+        cache.results.insert(5, slot);
         assert_eq!(cache.lookup(5), None);
         assert_eq!(cache.stats.corrupt_recovered, 1);
         assert_eq!(cache.stats.misses, 1);
